@@ -10,6 +10,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (perf/) is a workspace of its own, so nothing
+# above compiles it: build it, run its unit tests and its --quick smoke
+# run of all four workloads, so an API change cannot silently break it.
+cargo test --offline --manifest-path perf/Cargo.toml
+
 # Panic-freedom: no unwrap/expect may creep into non-test code of the
 # untrusted-input crates (see tools/unwrap_allowlist.txt), and a bounded
 # fuzz run over all five drivers (four input surfaces plus the

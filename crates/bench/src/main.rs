@@ -20,8 +20,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use llhsc::family::{CheckMode, FamilyChecker, FamilyReport};
-use llhsc::{CertStats, Pipeline, SemanticChecker, SolverConfig, SolverStats};
+use llhsc::{CertStats, CheckOptions, Pipeline, SemanticChecker, SolverConfig, SolverStats};
 use llhsc_bench::{family_board, synthetic_board, synthetic_vm_board};
+use llhsc_fm::MultiModel;
 use llhsc_schema::{SchemaSet, SyntacticChecker};
 use llhsc_service::cache::ServiceCache;
 use llhsc_service::{check_tree, solver_json, Json};
@@ -134,11 +135,11 @@ fn scenarios(runs: usize) -> Vec<Measurement> {
         Measurement::time("quadcore_build_warm", runs, {
             let cache = ServiceCache::new();
             Pipeline::new()
-                .run_with_cache(&quad, Some(&cache))
+                .run_cached(&quad, Some(&cache))
                 .expect("warm-up builds");
             move || {
                 Pipeline::new()
-                    .run_with_cache(&quad, Some(&cache))
+                    .run_cached(&quad, Some(&cache))
                     .expect("quadcore builds")
                     .solver_stats
             }
@@ -251,17 +252,13 @@ type Verdicts = Vec<(usize, usize)>;
 fn scale_fresh(
     trees: &[llhsc_dts::DeviceTree],
     schemas: &SchemaSet,
-    certify: bool,
+    options: &CheckOptions,
 ) -> (ModeCost, Verdicts) {
     let mut cost = ModeCost::default();
     let mut verdicts = Vec::new();
     for tree in trees {
-        let syn_session = if certify {
-            SolverSession::with_certification()
-        } else {
-            SolverSession::new()
-        };
-        let mut syn = SyntacticChecker::with_session(tree, schemas, syn_session);
+        let mut syn =
+            SyntacticChecker::with_session(tree, schemas, SolverSession::with_options(options));
         let report = syn.check();
         cost.solves += syn.solver_stats().solves;
         cost.cert.merge(&syn.cert_stats());
@@ -277,11 +274,7 @@ fn scale_fresh(
         cost.asserts_encoded += stats.asserts_encoded;
         cost.asserts_reused += stats.asserts_reused;
 
-        let mut sem = if certify {
-            SemanticChecker::with_certification()
-        } else {
-            SemanticChecker::new()
-        };
+        let mut sem = SemanticChecker::with_options(options);
         let sem_report = sem.check_tree(tree).expect("board is interpretable");
         cost.solves += sem.session_stats().checks;
         cost.cert.merge(&sem.cert_stats());
@@ -306,20 +299,12 @@ fn scale_fresh(
 fn scale_session(
     trees: &[llhsc_dts::DeviceTree],
     schemas: &SchemaSet,
-    certify: bool,
+    options: &CheckOptions,
 ) -> (ModeCost, Verdicts) {
     let mut cost = ModeCost::default();
     let mut verdicts = Vec::new();
-    let mut session = if certify {
-        SolverSession::with_certification()
-    } else {
-        SolverSession::new()
-    };
-    let mut sem = if certify {
-        SemanticChecker::with_certification()
-    } else {
-        SemanticChecker::new()
-    };
+    let mut session = SolverSession::with_options(options);
+    let mut sem = SemanticChecker::with_options(options);
     for tree in trees {
         let mut syn = SyntacticChecker::with_session(tree, schemas, session);
         let report = syn.check();
@@ -360,26 +345,26 @@ struct ScaleMeasurement {
 }
 
 impl ScaleMeasurement {
-    fn run(devices: usize, runs: usize, certify: bool) -> ScaleMeasurement {
+    fn run(devices: usize, runs: usize, options: &CheckOptions) -> ScaleMeasurement {
         let schemas = SchemaSet::standard();
         let trees: Vec<llhsc_dts::DeviceTree> = (0..SCALE_VMS)
             .map(|vm| llhsc_dts::parse(&synthetic_vm_board(devices, vm)).expect("vm board parses"))
             .collect();
         // Untimed warmup pass of both modes: first-touch costs (page
         // faults, allocator growth) stay out of every sample.
-        scale_fresh(&trees, &schemas, certify);
-        scale_session(&trees, &schemas, certify);
+        scale_fresh(&trees, &schemas, options);
+        scale_session(&trees, &schemas, options);
         let mut fresh = ModeCost::default();
         let mut session = ModeCost::default();
         for _ in 0..runs {
             let started = Instant::now();
-            let (mut cost, fresh_verdicts) = scale_fresh(&trees, &schemas, certify);
+            let (mut cost, fresh_verdicts) = scale_fresh(&trees, &schemas, options);
             cost.wall_us.push(started.elapsed().as_micros() as u64);
             cost.wall_us.append(&mut fresh.wall_us);
             fresh = cost;
 
             let started = Instant::now();
-            let (mut cost, session_verdicts) = scale_session(&trees, &schemas, certify);
+            let (mut cost, session_verdicts) = scale_session(&trees, &schemas, options);
             cost.wall_us.push(started.elapsed().as_micros() as u64);
             cost.wall_us.append(&mut session.wall_us);
             session = cost;
@@ -616,9 +601,10 @@ fn usage() -> ExitCode {
                        medians must stay within --tolerance-pct (default\n\
                        {COMPARE_TOLERANCE_PCT}%, plus a {COMPARE_WALL_FLOOR_US} µs noise floor);\n\
                        --skip-wall gates on counters only. Exit 1 on drift.\n\
-         ablate        check the quad-core fixture under all 16 combinations\n\
-                       of the solver's in-processing flags and assert the\n\
-                       verdicts never change"
+         ablate        check the quad-core fixture and a pigeonhole\n\
+                       allocation under all 16 combinations of the solver's\n\
+                       in-processing flags and assert the verdicts never\n\
+                       change"
     );
     ExitCode::FAILURE
 }
@@ -801,12 +787,15 @@ fn rerun_suite(baseline: &Json, runs: usize) -> Result<String, String> {
             }
             // A baseline captured with --certify carries `proof`
             // objects; replay it the same way so the counters line up.
-            let certify = scenario_list
-                .iter()
-                .any(|s| s.get("fresh").is_some_and(|f| f.get("proof").is_some()));
+            let options = CheckOptions {
+                certify: scenario_list
+                    .iter()
+                    .any(|s| s.get("fresh").is_some_and(|f| f.get("proof").is_some())),
+                ..CheckOptions::default()
+            };
             let results: Vec<ScaleMeasurement> = sizes
                 .iter()
-                .map(|&n| ScaleMeasurement::run(n, runs, certify))
+                .map(|&n| ScaleMeasurement::run(n, runs, &options))
                 .collect();
             let family: Vec<FamilyMeasurement> = family_sizes
                 .iter()
@@ -912,12 +901,12 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
     let mut runs = DEFAULT_RUNS;
     let mut sizes: Vec<usize> = SCALE_SIZES.to_vec();
     let mut json_path: Option<String> = None;
-    let mut certify = false;
+    let mut options = CheckOptions::default();
     let mut family = false;
     while let Some(arg) = args.first().cloned() {
         match arg.as_str() {
             "--certify" => {
-                certify = true;
+                options.certify = true;
                 args.remove(0);
             }
             "--family" => {
@@ -955,7 +944,7 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
     }
     let results: Vec<ScaleMeasurement> = sizes
         .iter()
-        .map(|&n| ScaleMeasurement::run(n, runs, certify))
+        .map(|&n| ScaleMeasurement::run(n, runs, &options))
         .collect();
     println!(
         "{:<14} {:>12} {:>12} {:>9} {:>13} {:>13} {:>8}",
@@ -972,7 +961,7 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
             m.session.terms_encoded,
             m.session.terms_reused,
         );
-        if certify {
+        if options.certify {
             println!(
                 "  certified: fresh {} proofs/{} checked, session {} proofs/{} checked",
                 m.fresh.cert.proofs,
@@ -1032,6 +1021,8 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
 struct AblationRow {
     combo: u32,
     verdicts: Vec<(usize, usize)>,
+    /// Whether the pigeonhole allocation found a placement.
+    allocates: bool,
     solver: SolverStats,
 }
 
@@ -1047,6 +1038,11 @@ fn ablation_trees() -> Vec<llhsc_dts::DeviceTree> {
     trees
 }
 
+/// Exclusive CPUs of the ablation's §IV-A allocation, which places one
+/// VM more than that: the pigeonhole principle, refutable only by CDCL
+/// search, so it is the input on which the in-processing passes work.
+const ABLATION_CPUS: usize = 7;
+
 /// The solver configuration of one 4-bit combo (chrono backtracking,
 /// vivification, subsumption, stabilizing restarts).
 fn ablation_config(combo: u32) -> SolverConfig {
@@ -1061,34 +1057,41 @@ fn ablation_config(combo: u32) -> SolverConfig {
 
 fn ablation_run(trees: &[llhsc_dts::DeviceTree], combo: u32) -> AblationRow {
     let schemas = SchemaSet::standard();
+    let options = CheckOptions {
+        solver: ablation_config(combo),
+        ..CheckOptions::default()
+    };
     let mut verdicts = Vec::new();
     let mut solver = SolverStats::default();
     for tree in trees {
-        let config = ablation_config(combo);
-        let mut syn = SyntacticChecker::with_session(
-            tree,
-            &schemas,
-            SolverSession::with_solver_config(config.clone()),
-        );
+        let mut syn =
+            SyntacticChecker::with_session(tree, &schemas, SolverSession::with_options(&options));
         let report = syn.check();
         solver.merge(&syn.solver_stats());
-        let mut sem = SemanticChecker::with_solver_config(config);
+        let mut sem = SemanticChecker::with_options(&options);
         let (sem_report, stats) = sem
             .check_tree_with_stats(tree)
             .expect("fixture is interpretable");
         solver.merge(&stats.solver);
         verdicts.push((report.violations.len(), sem_report.collisions.len()));
     }
+    let model = llhsc_bench::scaled_feature_model(1, ABLATION_CPUS);
+    let mut multi = MultiModel::with_options(&model, ABLATION_CPUS + 1, &options);
+    let allocates = multi.check();
+    solver.merge(&multi.solver_stats());
     AblationRow {
         combo,
         verdicts,
+        allocates,
         solver,
     }
 }
 
 /// The `ablate` subcommand: every combination of the in-processing
-/// flags over the quad-core fixture, asserting verdict equality — the
-/// passes may change the work, never the answer.
+/// flags over the quad-core fixture and the pigeonhole allocation,
+/// asserting verdict equality — the passes may change the work, never
+/// the answer — and that every pass except chronological backtracking
+/// fires when all are on.
 fn cmd_ablate(args: Vec<String>) -> ExitCode {
     if !args.is_empty() {
         return usage();
@@ -1096,8 +1099,15 @@ fn cmd_ablate(args: Vec<String>) -> ExitCode {
     let trees = ablation_trees();
     let rows: Vec<AblationRow> = (0u32..16).map(|c| ablation_run(&trees, c)).collect();
     println!(
-        "{:<6} {:>8} {:>9} {:>8} {:>9} {:>8} {:>11}  verdicts",
-        "combo", "solves", "conflicts", "chrono", "vivified", "subsumed", "strengthened"
+        "{:<6} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} {:>11}  verdicts",
+        "combo",
+        "solves",
+        "conflicts",
+        "restarts",
+        "chrono",
+        "vivified",
+        "subsumed",
+        "strengthened"
     );
     for row in &rows {
         let flags = format!(
@@ -1109,22 +1119,40 @@ fn cmd_ablate(args: Vec<String>) -> ExitCode {
         );
         let findings: usize = row.verdicts.iter().map(|(a, b)| a + b).sum();
         println!(
-            "{:<6} {:>8} {:>9} {:>8} {:>9} {:>8} {:>11}  {} finding(s)",
+            "{:<6} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} {:>11}  {} finding(s), {}",
             flags,
             row.solver.solves,
             row.solver.conflicts,
+            row.solver.restarts,
             row.solver.chrono_backtracks,
             row.solver.vivified,
             row.solver.subsumed,
             row.solver.strengthened,
             findings,
+            if row.allocates {
+                "allocated"
+            } else {
+                "allocation refuted"
+            },
         );
         assert_eq!(
-            row.verdicts, rows[0].verdicts,
+            (&row.verdicts, row.allocates),
+            (&rows[0].verdicts, rows[0].allocates),
             "in-processing combo {:#06b} changed a verdict",
             row.combo
         );
     }
+    assert!(
+        !rows[0].allocates,
+        "{} VMs cannot fit {ABLATION_CPUS} exclusive CPUs",
+        ABLATION_CPUS + 1
+    );
+    let all_on = &rows[15].solver;
+    assert!(all_on.vivified > 0, "vivification never fired");
+    assert!(all_on.subsumed > 0, "subsumption never fired");
+    assert!(all_on.restarts > 0, "the search never restarted");
+    let chrono: u64 = rows.iter().map(|r| r.solver.chrono_backtracks).sum();
+    println!("chronological backtracks across all combinations: {chrono}");
     println!("ok: verdicts identical across all 16 in-processing combinations");
     ExitCode::SUCCESS
 }

@@ -3,7 +3,7 @@
 //! The solver-bearing stages of the Fig. 2 workflow — resource
 //! allocation (§IV-A), the per-tree syntactic + semantic check
 //! (§IV-B/C) and the cross-tree coverage check — are pure functions of
-//! their inputs. [`Pipeline::run_with_cache`] therefore keys each stage
+//! their inputs. [`Pipeline::run_cached`] therefore keys each stage
 //! result on a stable content hash of exactly the inputs that stage
 //! consumed and consults a [`PipelineCache`] before running the solver:
 //!
@@ -21,10 +21,10 @@
 //!
 //! The crate ships no cache implementation; `llhsc-service` provides a
 //! shared in-memory one with hit/miss counters. A `None` cache makes
-//! `run_with_cache` behave exactly like [`Pipeline::run`].
+//! `run_cached` behave exactly like [`Pipeline::run`].
 //!
 //! [`Pipeline::run`]: crate::Pipeline::run
-//! [`Pipeline::run_with_cache`]: crate::Pipeline::run_with_cache
+//! [`Pipeline::run_cached`]: crate::Pipeline::run_cached
 
 use crate::report::Diagnostic;
 use crate::semantic::RegionCheckStats;

@@ -42,7 +42,8 @@ use llhsc_obs::TraceCtx;
 use llhsc_sat::{ProofStep, SolverStats};
 use llhsc_schema::SyntacticChecker;
 use llhsc_smt::{
-    slice_key, CertStats, CheckResult, Cnf, Context, SessionStats, SolverSession, TermId,
+    slice_key, CertStats, CheckOptions, CheckResult, Cnf, Context, SessionStats, SolverSession,
+    TermId,
 };
 
 use crate::cache::{CacheClass, CacheEntry, PipelineCache};
@@ -160,6 +161,18 @@ pub struct FamilyStats {
     pub session: SessionStats,
 }
 
+impl FamilyStats {
+    /// Field-wise sum, for aggregating across runs.
+    pub fn merge(&mut self, other: &FamilyStats) {
+        self.obligations_lifted += other.obligations_lifted;
+        self.family_solves += other.family_solves;
+        self.witnesses_extracted += other.witnesses_extracted;
+        self.products_checked += other.products_checked;
+        self.solver.merge(&other.solver);
+        self.session.merge(&other.session);
+    }
+}
+
 /// The verdict of one family check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyReport {
@@ -242,7 +255,10 @@ struct LiftPlan {
 #[derive(Debug)]
 pub struct FamilyChecker {
     session: SolverSession,
-    trace: Option<TraceCtx>,
+    /// The options the checker was built from: the trace parents each
+    /// check's `family_check` span, the solver configuration and
+    /// progress sink also reach the per-product sub-checkers.
+    options: CheckOptions,
     /// Enumeration budget for the product count reported alongside the
     /// verdict (the verdict itself never enumerates in lifted mode).
     pub count_budget: u64,
@@ -257,32 +273,40 @@ impl Default for FamilyChecker {
 impl FamilyChecker {
     /// A checker over a plain session.
     pub fn new() -> FamilyChecker {
+        FamilyChecker::with_options(&CheckOptions::default())
+    }
+
+    /// A checker whose family session is built from `opts`. With
+    /// `certify`, every `Unsat` family verdict carries a DRAT proof —
+    /// "this family is clean for every derivable product" becomes a
+    /// checkable certificate. With a trace, each check records a
+    /// `family_check` span under it, with the lifted counters and every
+    /// family query's `solve` span nested inside.
+    pub fn with_options(opts: &CheckOptions) -> FamilyChecker {
         FamilyChecker {
-            session: SolverSession::new(),
-            trace: None,
+            session: SolverSession::with_options(&CheckOptions {
+                trace: None,
+                ..opts.clone()
+            }),
+            options: opts.clone(),
             count_budget: 1 << 16,
         }
     }
 
-    /// A checker over a *certifying* session: every `Unsat` family
-    /// verdict carries a DRAT proof — "this family is clean for every
-    /// derivable product" becomes a checkable certificate.
-    pub fn with_certification() -> FamilyChecker {
-        FamilyChecker {
-            session: SolverSession::with_certification(),
-            ..FamilyChecker::new()
+    /// Options of the per-product sub-checkers: the family's solver
+    /// configuration and progress sink under `trace`. Only family
+    /// verdicts are certified.
+    fn sub_options(&self, trace: Option<&TraceCtx>) -> CheckOptions {
+        CheckOptions {
+            certify: false,
+            clause_log: false,
+            trace: trace.cloned(),
+            ..self.options.clone()
         }
     }
 
-    /// Attaches a trace context: the next check records a
-    /// `family_check` span under it, with the lifted counters and every
-    /// family query's `solve` span nested inside.
-    pub fn set_trace(&mut self, trace: TraceCtx) {
-        self.trace = Some(trace);
-    }
-
     /// Certification counters of the family session (zero unless
-    /// created with [`FamilyChecker::with_certification`]).
+    /// created with [`CheckOptions::certify`] set).
     pub fn cert_stats(&self) -> CertStats {
         self.session.cert_stats()
     }
@@ -309,7 +333,7 @@ impl FamilyChecker {
         input: &PipelineInput,
         mode: CheckMode,
     ) -> Result<FamilyReport, PipelineError> {
-        let span = self.trace.as_ref().map(|t| {
+        let span = self.options.trace.as_ref().map(|t| {
             let id = t.begin("family_check");
             (t.clone(), id)
         });
@@ -338,8 +362,7 @@ impl FamilyChecker {
         mode: CheckMode,
         cache: Option<&dyn PipelineCache>,
     ) -> Result<FamilyReport, PipelineError> {
-        let certify = self.session.export_proof().is_some();
-        let key = family_key(input, mode, certify);
+        let key = family_key(input, mode, self.options.certify);
         if let Some(CacheEntry::Family(hit)) = cache.and_then(|c| c.get(CacheClass::Family, key)) {
             return hit.map_err(|diagnostics| PipelineError { diagnostics });
         }
@@ -432,9 +455,13 @@ impl FamilyChecker {
         // violated in the family tree is violated in exactly the
         // products containing its node — its lifted obligation is the
         // node's presence formula.
-        let mut syn = SyntacticChecker::new(&plan.family_tree, &input.schemas);
+        let mut syn = SyntacticChecker::with_session(
+            &plan.family_tree,
+            &input.schemas,
+            SolverSession::with_options(&self.sub_options(None)),
+        );
         if let Some(t) = trace {
-            syn.attach_trace(t.clone());
+            syn.context_mut().set_trace(t.clone());
         }
         let syn_report = syn.check();
         stats.solver.merge(&syn.solver_stats());
@@ -490,10 +517,7 @@ impl FamilyChecker {
         let family_mem = SemanticChecker::memory_regions(&plan.family_tree)
             .map_err(|e| input_error(e.to_string()))?;
         {
-            let mut cov = SemanticChecker::new();
-            if let Some(t) = trace {
-                cov.set_trace(t.clone());
-            }
+            let mut cov = SemanticChecker::with_options(&self.sub_options(trace));
             for r in &family_mem {
                 let (gaps, cov_solver) =
                     cov.check_coverage_with_stats(std::slice::from_ref(r), &outer);
@@ -548,8 +572,8 @@ impl FamilyChecker {
         // path: the enumeration machinery as differential oracle and
         // diagnostic source.
         let mut findings = Vec::new();
-        let mut syn_session = None;
-        let mut sem = SemanticChecker::new();
+        let mut syn_session = SolverSession::with_options(&self.sub_options(None));
+        let mut sem = SemanticChecker::with_options(&self.sub_options(None));
         for (family, witness) in witnesses {
             let refs: Vec<&str> = witness.iter().map(String::as_str).collect();
             let product = line
@@ -598,8 +622,8 @@ impl FamilyChecker {
             SemanticChecker::memory_regions(&input.core).map_err(|e| input_error(e.to_string()))?;
         let line = ProductLine::new(input.core.clone(), input.deltas.clone());
         let mut found: [Option<FamilyFinding>; 5] = Default::default();
-        let mut syn_session = None;
-        let mut sem = SemanticChecker::new();
+        let mut syn_session = SolverSession::with_options(&self.sub_options(None));
+        let mut sem = SemanticChecker::with_options(&self.sub_options(None));
         for product_ids in an.products() {
             let names: Vec<String> = product_ids
                 .iter()
@@ -646,7 +670,7 @@ fn check_product_families(
     product: &DerivedProduct,
     input: &PipelineInput,
     outer: &[RegionRef],
-    syn_session: &mut Option<SolverSession>,
+    syn_session: &mut SolverSession,
     sem: &mut SemanticChecker,
     stats: &mut FamilyStats,
 ) -> Result<[Vec<Diagnostic>; 5], PipelineError> {
@@ -654,7 +678,7 @@ fn check_product_families(
 
     // Syntactic, threading one session through every product so the
     // shared schema-rule encodings are bit-blasted once.
-    let session = syn_session.take().unwrap_or_default();
+    let session = std::mem::take(syn_session);
     let session_base = session.stats();
     let mut syn = SyntacticChecker::with_session(&product.tree, &input.schemas, session);
     let solver_base = syn.solver_stats();
@@ -665,7 +689,7 @@ fn check_product_families(
     stats
         .session
         .merge(&syn.session_stats().delta_since(&session_base));
-    *syn_session = Some(syn.into_session());
+    *syn_session = syn.into_session();
     for v in report.violations {
         out[ObligationFamily::Syntactic.index()].push(
             Diagnostic::error(Stage::Syntactic, v.to_string()).blame(
@@ -1109,7 +1133,10 @@ mod tests {
     #[test]
     fn certifying_checker_proves_unsat_family_verdicts() {
         let input = overlapping_board("feature B { g xor exclusive { ua? ub? } }");
-        let mut fam = FamilyChecker::with_certification();
+        let mut fam = FamilyChecker::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let report = fam.check(&input, CheckMode::Family).expect("runs");
         assert!(report.is_ok());
         assert_eq!(fam.cert_stats().proofs, 1);

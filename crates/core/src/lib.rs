@@ -63,9 +63,7 @@ pub use llhsc_sat::{
     check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, CheckMode, Cnf, DratError,
     DratOutcome, Heartbeat, ProgressSink, ProofStep, SolverStats,
 };
-pub use llhsc_smt::{CertStats, SessionStats, SolverConfig, SolverSession};
-pub use pipeline::{
-    Pipeline, PipelineError, PipelineInput, PipelineOutput, PipelineProgress, VmSpec,
-};
+pub use llhsc_smt::{CertStats, CheckOptions, SessionStats, SolverConfig, SolverSession};
+pub use pipeline::{Pipeline, PipelineError, PipelineInput, PipelineOutput, VmSpec};
 pub use report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
 pub use semantic::{Collision, RegionCheckStats, RegionRef, SemanticChecker, SemanticReport};

@@ -22,7 +22,7 @@
 //! keyed on the model and the raw selections, per-product check results
 //! on the derived product itself, and coverage results on the (VM,
 //! platform) product pair. [`Pipeline::run`] is simply
-//! [`Pipeline::run_with_cache`] with no cache.
+//! [`Pipeline::run_cached`] with no cache.
 
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -35,7 +35,7 @@ use llhsc_hypcfg::{PlatformConfig, VmConfig};
 use llhsc_obs::{SpanId, TraceCtx};
 use llhsc_sat::SolverStats;
 use llhsc_schema::{SchemaSet, SyntacticChecker};
-use llhsc_smt::SolverSession;
+use llhsc_smt::{CheckOptions, SolverSession};
 
 use crate::cache::{AllocationNames, CacheClass, CacheEntry, CachedCheck, PipelineCache};
 use crate::report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
@@ -134,31 +134,6 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// A cloneable, Debug-opaque handle around a shared in-solve progress
-/// sink (see [`llhsc_sat::ProgressSink`]). The pipeline clones it into
-/// every solver session it creates, so heartbeats from concurrent
-/// product checks all reach the same sink.
-#[derive(Clone)]
-pub struct PipelineProgress(std::sync::Arc<dyn llhsc_sat::ProgressSink>);
-
-impl PipelineProgress {
-    /// Wraps a shared sink.
-    pub fn new(sink: std::sync::Arc<dyn llhsc_sat::ProgressSink>) -> PipelineProgress {
-        PipelineProgress(sink)
-    }
-
-    /// A fresh handle on the underlying sink.
-    pub fn sink(&self) -> std::sync::Arc<dyn llhsc_sat::ProgressSink> {
-        std::sync::Arc::clone(&self.0)
-    }
-}
-
-impl std::fmt::Debug for PipelineProgress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PipelineProgress(..)")
-    }
-}
-
 /// The llhsc tool: runs the Fig. 2 workflow.
 #[derive(Debug)]
 pub struct Pipeline {
@@ -174,11 +149,17 @@ pub struct Pipeline {
     /// diagnostics are merged in VM order (platform last), making the
     /// output byte-identical to a serial run.
     pub parallel: bool,
-    /// In-solve progress sink threaded into every solver session the
-    /// run creates (syntactic rule slices, semantic disjointness,
-    /// cross-tree coverage). Observation-only: attaching a sink changes
-    /// no verdict, diagnostic byte or solver counter.
-    pub progress: Option<PipelineProgress>,
+    /// The options every solver-bearing stage is built from
+    /// (allocation, syntactic rule slices, semantic disjointness,
+    /// cross-tree coverage). With a trace, the run records a span tree
+    /// `pipeline → stage → product_check → solve` under it: one stage
+    /// span per Fig. 2 stage, one `product_check` span per derived tree
+    /// (annotated with its `cache_hit` outcome and VM slot), and one
+    /// `solve` span per solver call, each carrying the
+    /// decisions/propagations/conflicts it cost. The progress sink
+    /// receives heartbeats from every stage's solver. Observation
+    /// changes no verdict, diagnostic byte or solver counter.
+    pub options: CheckOptions,
 }
 
 impl Default for Pipeline {
@@ -188,7 +169,7 @@ impl Default for Pipeline {
             skip_syntactic: false,
             page_alignment: Some(0x1000),
             parallel: true,
-            progress: None,
+            options: CheckOptions::default(),
         }
     }
 }
@@ -206,26 +187,7 @@ impl Pipeline {
     /// Returns [`PipelineError`] carrying diagnostics if any checker
     /// rejects the configuration or any generation step fails.
     pub fn run(&self, input: &PipelineInput) -> Result<PipelineOutput, PipelineError> {
-        self.run_with_cache(input, None)
-    }
-
-    /// Runs the workflow, serving solver-bearing stage results from
-    /// `cache` where the content-addressed keys match and storing
-    /// freshly computed results back. With `None` this is exactly
-    /// [`Pipeline::run`]; with a warm cache the diagnostics, rendered
-    /// outputs and verdict are byte-identical to an uncached run but no
-    /// solver is invoked for the cached stages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] carrying diagnostics if any checker
-    /// rejects the configuration or any generation step fails.
-    pub fn run_with_cache(
-        &self,
-        input: &PipelineInput,
-        cache: Option<&dyn PipelineCache>,
-    ) -> Result<PipelineOutput, PipelineError> {
-        self.run_observed(input, cache, None)
+        self.run_cached(input, None)
     }
 
     /// Family-level verification of the whole product line: one lifted
@@ -236,7 +198,8 @@ impl Pipeline {
     /// nothing to emit; the result is a verdict with witnesses.
     /// Verdicts are served from `cache` under
     /// [`CacheClass::Family`](crate::cache::CacheClass::Family) when the
-    /// content-addressed key matches.
+    /// content-addressed key matches. `trace` replaces the pipeline's
+    /// own trace parent.
     ///
     /// # Errors
     ///
@@ -249,33 +212,32 @@ impl Pipeline {
         cache: Option<&dyn PipelineCache>,
         trace: Option<&TraceCtx>,
     ) -> Result<crate::family::FamilyReport, PipelineError> {
-        let mut checker = crate::family::FamilyChecker::new();
-        if let Some(t) = trace {
-            checker.set_trace(t.clone());
-        }
-        checker.check_cached(input, mode, cache)
+        crate::family::FamilyChecker::with_options(&CheckOptions {
+            trace: trace.cloned(),
+            ..self.options.clone()
+        })
+        .check_cached(input, mode, cache)
     }
 
-    /// [`Pipeline::run_with_cache`] with structured tracing: when
-    /// `trace` is given, the run records a span tree
-    /// `pipeline → stage → product_check → solve` on its tracer —
-    /// one stage span per Fig. 2 stage, one `product_check` span per
-    /// derived tree (annotated with its `cache_hit` outcome and VM
-    /// slot), and one `solve` span per individual SAT/SMT solver call,
-    /// each carrying the decisions/propagations/conflicts it cost.
+    /// Runs the workflow, serving solver-bearing stage results from
+    /// `cache` where the content-addressed keys match and storing
+    /// freshly computed results back. With `None` this is exactly
+    /// [`Pipeline::run`]; with a warm cache the diagnostics, rendered
+    /// outputs and verdict are byte-identical to an uncached run but no
+    /// solver is invoked for the cached stages.
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::run_with_cache`]. The span tree is complete on
-    /// both paths: a rejected configuration still closes every span it
-    /// opened.
-    pub fn run_observed(
+    /// Returns [`PipelineError`] carrying diagnostics if any checker
+    /// rejects the configuration or any generation step fails. The span
+    /// tree is complete on both paths: a rejected configuration still
+    /// closes every span it opened.
+    pub fn run_cached(
         &self,
         input: &PipelineInput,
         cache: Option<&dyn PipelineCache>,
-        trace: Option<&TraceCtx>,
     ) -> Result<PipelineOutput, PipelineError> {
-        let root = trace.map(|t| {
+        let root = self.options.trace.as_ref().map(|t| {
             let id = t.begin("pipeline");
             t.add(id, "vms", input.vms.len() as u64);
             (t.clone(), id)
@@ -294,6 +256,15 @@ impl Pipeline {
                 dedup_diagnostics(&mut e.diagnostics);
                 Err(e)
             }
+        }
+    }
+
+    /// The options of a stage's checkers: the pipeline's own, with the
+    /// trace parented under the stage's span (none when untraced).
+    fn stage_options(&self, span: Option<&StageSpan>) -> CheckOptions {
+        CheckOptions {
+            trace: span.map(StageSpan::child),
+            ..self.options.clone()
         }
     }
 
@@ -349,10 +320,11 @@ impl Pipeline {
         let allocation = match cached_allocation {
             Some(r) => r,
             None => {
-                let mut multi = MultiModel::new(&input.model, input.vms.len());
-                if let Some(span) = &alloc_span {
-                    multi.attach_trace(span.child());
-                }
+                let mut multi = MultiModel::with_options(
+                    &input.model,
+                    input.vms.len(),
+                    &self.stage_options(alloc_span.as_ref()),
+                );
                 let solver_base = multi.solver_stats();
                 let result = match multi.complete(&selections) {
                     Ok(p) => {
@@ -560,13 +532,8 @@ impl Pipeline {
         // solver call.
         match SemanticChecker::memory_regions(&platform_product.tree) {
             Ok(platform_memory) => {
-                let mut checker = SemanticChecker::new();
-                if let Some(p) = &self.progress {
-                    checker.set_progress(p.sink());
-                }
-                if let Some(span) = &cov_span {
-                    checker.set_trace(span.child());
-                }
+                let mut checker =
+                    SemanticChecker::with_options(&self.stage_options(cov_span.as_ref()));
                 let platform_hash = platform_product.stable_hash();
                 for (k, product) in vm_products.iter().enumerate() {
                     let key = stable_hash_of(&(product.stable_hash(), platform_hash));
@@ -712,14 +679,16 @@ impl Pipeline {
         let mut session_work = llhsc_smt::SessionStats::default();
         if !self.skip_syntactic {
             let span = StageSpan::begin(trace, "syntactic");
-            let mut session = syn_session.take().unwrap_or_default();
-            if let Some(p) = &self.progress {
-                session.set_progress(p.sink());
-            }
+            let session = syn_session.take().unwrap_or_else(|| {
+                SolverSession::with_options(&CheckOptions {
+                    trace: None,
+                    ..self.options.clone()
+                })
+            });
             let session_base = session.stats();
             let mut checker = SyntacticChecker::with_session(&product.tree, schemas, session);
             if let Some(span) = &span {
-                checker.attach_trace(span.child());
+                checker.context_mut().set_trace(span.child());
             }
             let solver_base = checker.solver_stats();
             let report = checker.check();
@@ -755,13 +724,7 @@ impl Pipeline {
         }
         if !self.skip_semantic {
             let span = StageSpan::begin(trace, "semantic");
-            let mut checker = SemanticChecker::new();
-            if let Some(p) = &self.progress {
-                checker.set_progress(p.sink());
-            }
-            if let Some(span) = &span {
-                checker.set_trace(span.child());
-            }
+            let mut checker = SemanticChecker::with_options(&self.stage_options(span.as_ref()));
             let outcome = checker.check_tree_with_stats(&product.tree);
             session_work.merge(&checker.session_stats());
             StageSpan::finish(span);
@@ -1062,13 +1025,13 @@ mod tests {
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
         let cold = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_cached(&input, Some(&cache))
             .expect("cold run succeeds");
         let cold_misses = cache.misses.load(Ordering::SeqCst);
         assert!(cold_misses > 0, "cold run must miss");
 
         let warm = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_cached(&input, Some(&cache))
             .expect("warm run succeeds");
         assert_eq!(
             cache.misses.load(Ordering::SeqCst),
@@ -1095,9 +1058,9 @@ mod tests {
         input.deltas = llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap();
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
-        let cold = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let cold = pipeline.run_cached(&input, Some(&cache)).unwrap_err();
         let misses = cache.misses.load(Ordering::SeqCst);
-        let warm = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let warm = pipeline.run_cached(&input, Some(&cache)).unwrap_err();
         assert_eq!(cache.misses.load(Ordering::SeqCst), misses);
         assert_eq!(rendered(&cold.diagnostics), rendered(&warm.diagnostics));
     }
@@ -1108,9 +1071,9 @@ mod tests {
         input.vms[1].features = vec!["memory".into(), "cpu@0".into()];
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
-        let cold = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let cold = pipeline.run_cached(&input, Some(&cache)).unwrap_err();
         let misses = cache.misses.load(Ordering::SeqCst);
-        let warm = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let warm = pipeline.run_cached(&input, Some(&cache)).unwrap_err();
         assert_eq!(cache.misses.load(Ordering::SeqCst), misses);
         assert_eq!(rendered(&cold.diagnostics), rendered(&warm.diagnostics));
     }
@@ -1122,10 +1085,10 @@ mod tests {
         let pipeline = Pipeline::new();
         let plain = pipeline.run(&input).expect("uncached run");
         pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_cached(&input, Some(&cache))
             .expect("cold cached run");
         let warm = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_cached(&input, Some(&cache))
             .expect("warm cached run");
         assert_eq!(rendered(&plain.diagnostics), rendered(&warm.diagnostics));
         assert_eq!(plain.vm_dts, warm.vm_dts);
@@ -1139,12 +1102,17 @@ mod tests {
 
         let input = running_example::pipeline_input();
         let cache = TestCache::default();
-        let pipeline = Pipeline::new();
+        let traced = |tracer: &Arc<Tracer>| Pipeline {
+            options: CheckOptions {
+                trace: Some(TraceCtx::new(Arc::clone(tracer))),
+                ..CheckOptions::default()
+            },
+            ..Pipeline::new()
+        };
 
         let tracer = Arc::new(Tracer::zeroed());
-        let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let out = pipeline
-            .run_observed(&input, Some(&cache), Some(&ctx))
+        let out = traced(&tracer)
+            .run_cached(&input, Some(&cache))
             .expect("traced run succeeds");
         let spans = tracer.spans();
         assert!(
@@ -1184,9 +1152,8 @@ mod tests {
         // Warm run: verdicts replay from the cache — product checks
         // report their hit, nothing solves, totals are zero.
         let tracer = Arc::new(Tracer::zeroed());
-        let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let warm = pipeline
-            .run_observed(&input, Some(&cache), Some(&ctx))
+        let warm = traced(&tracer)
+            .run_cached(&input, Some(&cache))
             .expect("warm traced run succeeds");
         let spans = tracer.spans();
         let products: Vec<_> = spans.iter().filter(|s| s.name == "product_check").collect();
@@ -1204,9 +1171,7 @@ mod tests {
         let input = running_example::pipeline_input();
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
-        pipeline
-            .run_with_cache(&input, Some(&cache))
-            .expect("cold run");
+        pipeline.run_cached(&input, Some(&cache)).expect("cold run");
         let misses_before = cache.misses.load(Ordering::SeqCst);
 
         let mut edited = input.clone();
@@ -1217,11 +1182,60 @@ mod tests {
         assert_ne!(deltas_src, running_example::DELTAS, "edit must apply");
         edited.deltas = llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap();
         pipeline
-            .run_with_cache(&edited, Some(&cache))
+            .run_cached(&edited, Some(&cache))
             .expect("edited run");
         // New misses: vm1's product check, the platform's product
         // check, and both coverage pairs (the platform side of the pair
         // changed). vm2's product check and the allocation hit.
         assert_eq!(cache.misses.load(Ordering::SeqCst) - misses_before, 4);
+    }
+
+    #[test]
+    fn allocation_search_heartbeats_reach_the_progress_sink() {
+        // Five VMs on four exclusive CPUs: the §IV-A pigeonhole, which
+        // the allocation checker can only refute by CDCL search.
+        #[derive(Default)]
+        struct Count(AtomicUsize);
+        impl llhsc_sat::ProgressSink for Count {
+            fn heartbeat(&self, _beat: &llhsc_sat::Heartbeat) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let cpus = 4;
+        let mut model = String::from("feature P {\n memory\n cpus xor exclusive {\n");
+        let mut core = String::from("/ {\n cpus {\n");
+        for i in 0..cpus {
+            model.push_str(&format!("  cpu@{i}?\n"));
+            core.push_str(&format!("  cpu@{i} {{ device_type = \"cpu\"; }};\n"));
+        }
+        model.push_str(" }\n}\n");
+        core.push_str(" };\n};\n");
+        let input = PipelineInput {
+            core: llhsc_dts::parse(&core).unwrap(),
+            deltas: Vec::new(),
+            model: llhsc_fm::parse_model(&model).unwrap(),
+            schemas: SchemaSet::standard(),
+            vms: (0..=cpus)
+                .map(|k| VmSpec {
+                    name: format!("vm{k}"),
+                    features: vec!["memory".to_string()],
+                })
+                .collect(),
+        };
+        let sink = std::sync::Arc::new(Count::default());
+        let pipeline = Pipeline {
+            options: CheckOptions {
+                solver: llhsc_smt::SolverConfig {
+                    heartbeat_every: 1,
+                    ..llhsc_smt::SolverConfig::default()
+                },
+                progress: Some(sink.clone()),
+                ..CheckOptions::default()
+            },
+            ..Pipeline::new()
+        };
+        let err = pipeline.run(&input).unwrap_err();
+        assert!(err.to_string().contains("resource allocation rejected"));
+        assert!(sink.0.load(Ordering::SeqCst) > 0, "allocation search beats");
     }
 }

@@ -24,7 +24,7 @@ use llhsc_dts::{DeviceTree, DtsError};
 use llhsc_obs::TraceCtx;
 use llhsc_sat::{Cnf, ProofStep};
 use llhsc_smt::{
-    slice_key, AllocStats, CertStats, CheckResult, SessionStats, Slice, SolverConfig,
+    slice_key, AllocStats, CertStats, CheckOptions, CheckResult, SessionStats, Slice,
     SolverSession, SolverStats, TermId,
 };
 
@@ -143,37 +143,31 @@ impl Default for SemanticChecker {
 impl SemanticChecker {
     /// Creates a checker with all semantic rules enabled.
     pub fn new() -> SemanticChecker {
+        SemanticChecker::with_options(&CheckOptions::default())
+    }
+
+    /// Creates a checker whose session is built from `opts` (solver
+    /// configuration, certification, progress sink). A `certify`
+    /// checker accompanies every `Unsat` the disjointness queries
+    /// produce (which on a clean board is every query) with a DRAT proof
+    /// replayed through the in-tree checker, and the formula/proof pair
+    /// can be exported via [`SemanticChecker::export_proof`]. With a
+    /// trace, every check records its solver calls as `"solve"` spans
+    /// under it.
+    pub fn with_options(opts: &CheckOptions) -> SemanticChecker {
         SemanticChecker {
             check_interrupts: true,
             virtual_compatibles: vec!["veth".to_string(), "shmem".to_string()],
-            trace: None,
-            session: SolverSession::new(),
-        }
-    }
-
-    /// Creates a checker over a *certifying* session: every `Unsat` the
-    /// disjointness queries produce (which on a clean board is every
-    /// query) is accompanied by a DRAT proof replayed through the
-    /// in-tree checker, and the formula/proof pair can be exported via
-    /// [`SemanticChecker::export_proof`].
-    pub fn with_certification() -> SemanticChecker {
-        SemanticChecker {
-            session: SolverSession::with_certification(),
-            ..SemanticChecker::new()
-        }
-    }
-
-    /// Creates a checker whose session solver uses the given
-    /// configuration (in-processing/restart ablation).
-    pub fn with_solver_config(config: SolverConfig) -> SemanticChecker {
-        SemanticChecker {
-            session: SolverSession::with_solver_config(config),
-            ..SemanticChecker::new()
+            trace: opts.trace.clone(),
+            session: SolverSession::with_options(&CheckOptions {
+                trace: None,
+                ..opts.clone()
+            }),
         }
     }
 
     /// Certification counters of the session (zero unless created with
-    /// [`SemanticChecker::with_certification`]).
+    /// [`CheckOptions::certify`] set).
     pub fn cert_stats(&self) -> CertStats {
         self.session.cert_stats()
     }
@@ -197,34 +191,6 @@ impl SemanticChecker {
     /// Lifetime allocation counters of the session's SAT solver.
     pub fn alloc_stats(&self) -> AllocStats {
         self.session.ctx().alloc_stats()
-    }
-
-    /// Attaches a trace context: every solver call made by subsequent
-    /// checks records a `"solve"` span under it.
-    pub fn set_trace(&mut self, trace: TraceCtx) {
-        self.trace = Some(trace);
-    }
-
-    /// Attaches a progress sink to the session solver: subsequent
-    /// checks emit [`llhsc_sat::Heartbeat`]s every
-    /// `SolverConfig::heartbeat_every` conflicts.
-    pub fn set_progress(&mut self, sink: std::sync::Arc<dyn llhsc_sat::ProgressSink>) {
-        self.session.set_progress(sink);
-    }
-
-    /// Builder form of [`set_trace`](SemanticChecker::set_trace).
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceCtx) -> SemanticChecker {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Creates a checker with only the memory-overlap rule (ablation).
-    pub fn memory_only() -> SemanticChecker {
-        SemanticChecker {
-            check_interrupts: false,
-            ..SemanticChecker::new()
-        }
     }
 
     /// Checks a whole tree: decodes every `reg` under its parent's cell
@@ -1007,7 +973,10 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let mut checker = SemanticChecker::with_certification();
+        let mut checker = SemanticChecker::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let (r, _stats) = checker.check_tree_with_stats(&t).unwrap();
         assert_eq!(r.collisions.len(), 1, "{:?}", r.collisions);
         let cert = checker.cert_stats();
@@ -1036,16 +1005,19 @@ mod tests {
         .unwrap();
         let baseline = SemanticChecker::new().check_tree(&t).unwrap();
         for combo in 0u32..16 {
-            let config = SolverConfig {
+            let solver = llhsc_smt::SolverConfig {
                 chrono_backtrack: combo & 1 != 0,
                 vivify: combo & 2 != 0,
                 subsume: combo & 4 != 0,
                 stable_restarts: combo & 8 != 0,
-                ..SolverConfig::default()
+                ..llhsc_smt::SolverConfig::default()
             };
-            let r = SemanticChecker::with_solver_config(config)
-                .check_tree(&t)
-                .unwrap();
+            let r = SemanticChecker::with_options(&CheckOptions {
+                solver,
+                ..CheckOptions::default()
+            })
+            .check_tree(&t)
+            .unwrap();
             assert_eq!(
                 r.collisions.len(),
                 baseline.collisions.len(),
@@ -1241,7 +1213,9 @@ mod tests {
         assert_eq!(r.interrupt_conflicts[0].0, 7);
         assert_eq!(r.interrupt_conflicts[0].1.len(), 2);
         // Ablation: the memory-only checker ignores it.
-        let r2 = SemanticChecker::memory_only().check_tree(&t).unwrap();
+        let mut overlap_only = SemanticChecker::new();
+        overlap_only.check_interrupts = false;
+        let r2 = overlap_only.check_tree(&t).unwrap();
         assert!(r2.is_ok());
     }
 

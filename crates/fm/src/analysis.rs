@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use llhsc_count::{approx_count, count_exact, ApproxParams};
 use llhsc_sat::{Cnf, Lit};
-use llhsc_smt::{CheckResult, Context, TermId};
+use llhsc_smt::{CheckOptions, CheckResult, Context, TermId};
 
 use crate::model::{FeatureId, FeatureModel};
 
@@ -178,7 +178,10 @@ impl Analyzer {
     /// [`Context`], so the analyser's own incremental solver stays
     /// untouched and pays no logging overhead on the hot query paths.
     pub fn export_cnf(&self) -> (Cnf, Vec<Lit>) {
-        let mut ctx = Context::with_clause_log();
+        let mut ctx = Context::with_options(&CheckOptions {
+            clause_log: true,
+            ..CheckOptions::default()
+        });
         let vars = self.model.encode(&mut ctx, "");
         ctx.assert(vars[&self.model.root()]);
         let over: Vec<TermId> = self.ordered.iter().map(|id| vars[id]).collect();

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use llhsc_smt::{CheckResult, Context, TermId};
+use llhsc_smt::{CheckOptions, CheckResult, Context, TermId};
 
 use crate::analysis::Product;
 use crate::model::{FeatureId, FeatureModel};
@@ -106,11 +106,28 @@ impl MultiModel {
     ///
     /// Panics if `num_vms` is zero.
     pub fn new(model: &FeatureModel, num_vms: usize) -> MultiModel {
+        MultiModel::with_options(model, num_vms, &CheckOptions::default())
+    }
+
+    /// [`MultiModel::new`] over a context built from `opts`. The trace
+    /// is attached once the model is encoded, so every solver call made
+    /// by [`validate`](MultiModel::validate),
+    /// [`complete`](MultiModel::complete) (including its greedy
+    /// minimisation loop) and [`count_allocations`](MultiModel::count_allocations)
+    /// records a `"solve"` span with its counter delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vms` is zero.
+    pub fn with_options(model: &FeatureModel, num_vms: usize, opts: &CheckOptions) -> MultiModel {
         assert!(
             num_vms > 0,
             "a hypervisor configuration needs at least one VM"
         );
-        let mut ctx = Context::new();
+        let mut ctx = Context::with_options(&CheckOptions {
+            trace: None,
+            ..opts.clone()
+        });
         let mut vm_vars = Vec::with_capacity(num_vms);
         for k in 0..num_vms {
             let vars = model.encode(&mut ctx, &format!("vm{}:", k + 1));
@@ -148,6 +165,9 @@ impl MultiModel {
             }
         }
 
+        if let Some(trace) = &opts.trace {
+            ctx.set_trace(trace.clone());
+        }
         MultiModel {
             model: model.clone(),
             num_vms,
@@ -161,15 +181,6 @@ impl MultiModel {
     /// The number of VMs.
     pub fn num_vms(&self) -> usize {
         self.num_vms
-    }
-
-    /// Forwards a trace context to the underlying SMT context: every
-    /// solver call made by [`validate`](MultiModel::validate),
-    /// [`complete`](MultiModel::complete) (including its greedy
-    /// minimisation loop) and [`count_allocations`](MultiModel::count_allocations)
-    /// then records a `"solve"` span with its counter delta.
-    pub fn attach_trace(&mut self, trace: llhsc_obs::TraceCtx) {
-        self.ctx.set_trace(trace);
     }
 
     /// Solver counters accumulated by this model's SMT context.

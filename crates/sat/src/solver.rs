@@ -344,11 +344,6 @@ impl Solver {
         self.progress = Some(ProgressHook(sink));
     }
 
-    /// Removes the progress sink, if any.
-    pub fn clear_progress(&mut self) {
-        self.progress = None;
-    }
-
     fn heartbeat_if_due(&self) {
         let every = self.config.heartbeat_every;
         if every == 0 || !self.stats.conflicts.is_multiple_of(every) {
@@ -1613,15 +1608,6 @@ mod tests {
             sink.0.lock().unwrap().len() as u64,
             observed.stats().conflicts,
             "heartbeat_every=1 beats once per conflict"
-        );
-
-        observed.clear_progress();
-        let before = sink.0.lock().unwrap().len();
-        let _ = observed.solve();
-        assert_eq!(
-            sink.0.lock().unwrap().len(),
-            before,
-            "cleared sink is quiet"
         );
     }
 

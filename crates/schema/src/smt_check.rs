@@ -146,16 +146,11 @@ impl SyntacticChecker {
 
     /// Access to the underlying context (for callers that add further
     /// constraints to the same instance, as the paper's tool does with
-    /// its semantic rules).
+    /// its semantic rules, or that attach a trace with
+    /// [`Context::set_trace`] so each rule-marker solve in
+    /// [`check`](SyntacticChecker::check) records a `"solve"` span).
     pub fn context_mut(&mut self) -> &mut Context {
         self.session.ctx_mut()
-    }
-
-    /// Forwards a trace context to the underlying SMT context so each
-    /// rule-marker solve in [`check`](SyntacticChecker::check) records a
-    /// `"solve"` span with its solver-counter delta.
-    pub fn attach_trace(&mut self, trace: llhsc_obs::TraceCtx) {
-        self.session.ctx_mut().set_trace(trace);
     }
 
     /// Solver counters accumulated by this checker's SMT context.
@@ -164,7 +159,8 @@ impl SyntacticChecker {
     }
 
     /// Certification counters of the session (zero unless the checker
-    /// was built over [`SolverSession::with_certification`]).
+    /// was built over a certifying session, see
+    /// [`llhsc_smt::CheckOptions::certify`]).
     pub fn cert_stats(&self) -> CertStats {
         self.session.cert_stats()
     }

@@ -35,15 +35,17 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use llhsc::{check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, CheckMode, Pipeline};
+use llhsc::{
+    check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, CheckMode, CheckOptions,
+    Pipeline,
+};
 use llhsc_dts::{parse_with_includes, FileProvider};
 use llhsc_fm::Analyzer;
 use llhsc_obs::{TraceCtx, Tracer};
 use llhsc_schema::SchemaSet;
 use llhsc_service::json::Json;
 use llhsc_service::{
-    check_report_json_with_proof, check_tree_certified, check_tree_observed, check_tree_traced,
-    client, server, ServerConfig, StderrProgress,
+    check_report_json, check_tree_with, client, server, ServerConfig, StderrProgress,
 };
 
 /// Where `llhsc serve` listens and `llhsc client` connects unless
@@ -119,10 +121,10 @@ fn usage() -> ExitCode {
            --report-json <file>  write the machine-readable check report\n\
                               (check, client check)\n\
            --progress         print a live in-solve heartbeat line to stderr\n\
-                              every solver heartbeat (check; not emitted\n\
-                              during a --certify replay)\n\
+                              every solver heartbeat (check)\n\
            --certify          replay every UNSAT verdict's DRAT proof through\n\
-                              the in-tree checker before reporting (check)\n\
+                              the in-tree checker before reporting (check,\n\
+                              build)\n\
            --proof <prefix>   --certify, plus write each stage's formula and\n\
                               proof to <prefix>.<stage>.cnf/.drat (check)\n\
            --all              verify every lemma, not just the refutation's\n\
@@ -974,20 +976,27 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
     }
     let dir = Path::new(&args[0]);
     let sink = TraceSink::new(trace_path);
+    let options = CheckOptions {
+        certify,
+        trace: sink.as_ref().map(TraceSink::ctx),
+        ..CheckOptions::default()
+    };
     if family || family_enumerate {
         let mode = if family {
             llhsc::family::CheckMode::Family
         } else {
             llhsc::family::CheckMode::Enumerate
         };
-        return cmd_build_family(dir, mode, certify, stats, sink);
+        return cmd_build_family(dir, mode, &options, stats, sink);
     }
     let result = (|| -> Result<llhsc::PipelineOutput, BuildFailure> {
         let input = load_build_input(dir, true).map_err(BuildFailure::Input)?;
-        let ctx = sink.as_ref().map(TraceSink::ctx);
-        Pipeline::new()
-            .run_observed(&input, None, ctx.as_ref())
-            .map_err(|e| BuildFailure::Rejected(e.to_string()))
+        Pipeline {
+            options,
+            ..Pipeline::new()
+        }
+        .run(&input)
+        .map_err(|e| BuildFailure::Rejected(e.to_string()))
     })();
 
     if let Some(sink) = sink {
@@ -1060,7 +1069,7 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
 fn cmd_build_family(
     dir: &Path,
     mode: llhsc::family::CheckMode,
-    certify: bool,
+    options: &CheckOptions,
     stats: bool,
     sink: Option<TraceSink>,
 ) -> ExitCode {
@@ -1071,16 +1080,9 @@ fn cmd_build_family(
             return ExitCode::from(EXIT_FAILURE);
         }
     };
-    let mut checker = if certify {
-        llhsc::family::FamilyChecker::with_certification()
-    } else {
-        llhsc::family::FamilyChecker::new()
-    };
-    if let Some(s) = &sink {
-        checker.set_trace(s.ctx());
-    }
+    let mut checker = llhsc::family::FamilyChecker::with_options(options);
     let result = checker.check(&input, mode);
-    if stats && certify {
+    if stats && options.certify {
         let cert = checker.cert_stats();
         println!(
             "certified: {} UNSAT verdict(s), {} proof step(s), {} lemma(s) checked",
@@ -1167,18 +1169,14 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
         None if report_path.is_some() => Some(Arc::new(Tracer::zeroed())),
         None => None,
     };
-    let ctx = tracer.as_ref().map(|t| TraceCtx::new(Arc::clone(t)));
-    let (outcome, bundles) = if certify {
-        check_tree_certified(&tree, ctx.as_ref())
-    } else if progress {
-        let sink = Arc::new(StderrProgress::from_env());
-        (
-            check_tree_observed(&tree, ctx.as_ref(), sink as Arc<dyn llhsc::ProgressSink>),
-            Vec::new(),
-        )
-    } else {
-        (check_tree_traced(&tree, ctx.as_ref()), Vec::new())
+    let options = CheckOptions {
+        certify,
+        progress: progress
+            .then(|| Arc::new(StderrProgress::from_env()) as Arc<dyn llhsc::ProgressSink>),
+        trace: tracer.as_ref().map(|t| TraceCtx::new(Arc::clone(t))),
+        ..CheckOptions::default()
     };
+    let (outcome, bundles) = check_tree_with(&tree, &options);
     eprint!("{}", outcome.report.stderr);
     print!("{}", outcome.report.stdout);
     if let Some(cert) = &outcome.cert {
@@ -1219,7 +1217,7 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
     }
     if let Some(report_path) = report_path {
         let spans = tracer.as_ref().map(|t| t.spans()).unwrap_or_default();
-        let doc = check_report_json_with_proof(
+        let doc = check_report_json(
             &outcome.report,
             &outcome.stats,
             &outcome.solver,
@@ -1372,9 +1370,15 @@ fn cmd_demo(mut args: Vec<String>, stats: bool) -> ExitCode {
         return usage();
     };
     let sink = TraceSink::new(trace_path);
-    let ctx = sink.as_ref().map(TraceSink::ctx);
     let input = llhsc::running_example::pipeline_input();
-    let result = Pipeline::new().run_observed(&input, None, ctx.as_ref());
+    let result = Pipeline {
+        options: CheckOptions {
+            trace: sink.as_ref().map(TraceSink::ctx),
+            ..CheckOptions::default()
+        },
+        ..Pipeline::new()
+    }
+    .run(&input);
     if let Some(sink) = sink {
         if sink.write().is_err() {
             return ExitCode::from(EXIT_FAILURE);

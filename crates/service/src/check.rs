@@ -5,15 +5,13 @@
 //! byte-identical to `llhsc check` by construction — the bytes come
 //! from one function, only the transport differs.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use llhsc::{
-    CertStats, Cnf, ProgressSink, ProofStep, RegionCheckStats, SemanticChecker, SessionStats,
+    CertStats, CheckOptions, Cnf, ProofStep, RegionCheckStats, SemanticChecker, SessionStats,
     SolverSession, SolverStats,
 };
 use llhsc_dts::DeviceTree;
-use llhsc_obs::TraceCtx;
 use llhsc_schema::{SchemaSet, SyntacticChecker};
 
 /// The rendered result of checking one tree: the exact bytes `llhsc
@@ -50,8 +48,8 @@ pub struct CheckOutcome {
     /// Wall-clock time of the semantic check.
     pub elapsed: Duration,
     /// DRAT certification counters, summed over the syntactic and
-    /// semantic sessions. `None` unless the check ran through
-    /// [`check_tree_certified`]. When present, every `Unsat` verdict the
+    /// semantic sessions. `None` unless the check ran with
+    /// [`CheckOptions::certify`] set. When present, every `Unsat` verdict the
     /// check produced was replayed through the in-tree DRAT checker
     /// before being reported (an invalid proof panics — a verdict never
     /// silently survives a failed certification).
@@ -74,76 +72,42 @@ pub struct ProofBundle {
 /// standard schema set, rendering findings exactly as `llhsc check`
 /// always has.
 pub fn check_tree(tree: &DeviceTree) -> CheckOutcome {
-    check_tree_traced(tree, None)
+    check_tree_with(tree, &CheckOptions::default()).0
 }
 
-/// [`check_tree`] with structured tracing: when `trace` is given, the
-/// run records a `"check"` span parenting one `"syntactic"` and one
-/// `"semantic"` stage span, each parenting the `"solve"` spans of its
-/// checker's solver calls. The rendered bytes are identical to an
-/// untraced run.
-pub fn check_tree_traced(tree: &DeviceTree, trace: Option<&TraceCtx>) -> CheckOutcome {
-    check_tree_inner(tree, trace, false, None).0
-}
-
-/// [`check_tree_traced`] with in-solve progress telemetry: the sink
-/// receives a [`llhsc::Heartbeat`] every `heartbeat_every` conflicts
-/// from both stages' solvers (syntactic rule solves and semantic
-/// disjointness queries). Heartbeats are observation-only — the
-/// rendered bytes and every solver counter are identical to an
-/// unobserved run.
-pub fn check_tree_observed(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-    progress: Arc<dyn ProgressSink>,
-) -> CheckOutcome {
-    check_tree_inner(tree, trace, false, Some(progress)).0
-}
-
-/// [`check_tree_traced`] over *certifying* solver sessions: every
-/// `Unsat` verdict either checker produces emits a DRAT proof that is
-/// replayed through the in-tree backward checker before the verdict is
-/// reported. The rendered bytes are identical to an uncertified run;
-/// the outcome's [`CheckOutcome::cert`] counters are populated and the
-/// per-stage formula/proof pairs are returned for archival (e.g.
-/// `llhsc check --proof`).
-pub fn check_tree_certified(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-) -> (CheckOutcome, Vec<ProofBundle>) {
-    check_tree_inner(tree, trace, true, None)
-}
-
-fn check_tree_inner(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-    certify: bool,
-    progress: Option<Arc<dyn ProgressSink>>,
-) -> (CheckOutcome, Vec<ProofBundle>) {
+/// [`check_tree`] with both stages' solver sessions built from `opts`.
+/// The rendered bytes are identical whatever the options:
+///
+/// * with a trace, the run records a `"check"` span parenting one
+///   `"syntactic"` and one `"semantic"` stage span, each parenting the
+///   `"solve"` spans of its checker's solver calls;
+/// * with a progress sink, both stages' solvers heartbeat through it;
+/// * with `certify`, every `Unsat` verdict either checker produces is
+///   replayed through the in-tree DRAT checker before it is reported,
+///   [`CheckOutcome::cert`] is populated and the per-stage
+///   formula/proof pairs are returned for archival (e.g. `llhsc check
+///   --proof`); otherwise the bundle list is empty.
+pub fn check_tree_with(tree: &DeviceTree, opts: &CheckOptions) -> (CheckOutcome, Vec<ProofBundle>) {
     use std::fmt::Write as _;
     let mut stdout = String::new();
     let mut stderr = String::new();
     let mut failed = false;
     let mut input_error = false;
 
-    let root = trace.map(|t| (t.clone(), t.begin("check")));
+    let root = opts.trace.as_ref().map(|t| (t.clone(), t.begin("check")));
     let scoped = root.as_ref().map(|(t, id)| t.at(*id));
     let trace = scoped.as_ref();
     let mut solver = SolverStats::default();
     let mut session = SessionStats::default();
 
     let syn_span = trace.map(|t| (t, t.begin("syntactic")));
-    let mut syn_session = if certify {
-        SolverSession::with_certification()
-    } else {
-        SolverSession::new()
-    };
-    if let Some(sink) = &progress {
-        syn_session.set_progress(Arc::clone(sink));
-    }
+    let syn_session = SolverSession::with_options(&CheckOptions {
+        trace: None,
+        ..opts.clone()
+    });
     let mut syn_checker = SyntacticChecker::with_session(tree, &SchemaSet::standard(), syn_session);
     if let Some((t, id)) = &syn_span {
-        syn_checker.attach_trace(t.at(*id));
+        syn_checker.context_mut().set_trace(t.at(*id));
     }
     let solver_base = syn_checker.solver_stats();
     let syntactic = syn_checker.check();
@@ -164,17 +128,10 @@ fn check_tree_inner(
     let mut stats = RegionCheckStats::default();
     let mut elapsed = Duration::ZERO;
     let sem_span = trace.map(|t| (t, t.begin("semantic")));
-    let mut sem_checker = if certify {
-        SemanticChecker::with_certification()
-    } else {
-        SemanticChecker::new()
-    };
-    if let Some(sink) = &progress {
-        sem_checker.set_progress(Arc::clone(sink));
-    }
-    if let Some((t, id)) = &sem_span {
-        sem_checker.set_trace(t.at(*id));
-    }
+    let mut sem_checker = SemanticChecker::with_options(&CheckOptions {
+        trace: sem_span.as_ref().map(|(t, id)| t.at(*id)),
+        ..opts.clone()
+    });
     let outcome = sem_checker.check_tree_with_stats(tree);
     session.merge(&sem_checker.session_stats());
     if let Some((t, id)) = sem_span {
@@ -230,7 +187,7 @@ fn check_tree_inner(
     }
     let mut cert = None;
     let mut bundles = Vec::new();
-    if certify {
+    if opts.certify {
         let mut c = syn_checker.cert_stats();
         c.merge(&sem_checker.cert_stats());
         cert = Some(c);
@@ -301,7 +258,13 @@ mod tests {
         .unwrap();
         let tracer = Arc::new(Tracer::zeroed());
         let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let traced = check_tree_traced(&tree, Some(&ctx));
+        let (traced, _) = check_tree_with(
+            &tree,
+            &CheckOptions {
+                trace: Some(ctx),
+                ..CheckOptions::default()
+            },
+        );
         let plain = check_tree(&tree);
         assert_eq!(traced.report, plain.report);
         assert_eq!(traced.solver, plain.solver);
@@ -336,7 +299,13 @@ mod tests {
         )
         .unwrap();
         let plain = check_tree(&tree);
-        let (certified, bundles) = check_tree_certified(&tree, None);
+        let (certified, bundles) = check_tree_with(
+            &tree,
+            &CheckOptions {
+                certify: true,
+                ..CheckOptions::default()
+            },
+        );
         assert_eq!(certified.report, plain.report, "bytes must not change");
         let cert = certified.cert.expect("certified run populates counters");
         assert!(cert.proofs > 0, "UNSAT verdicts must be certified");

@@ -28,14 +28,9 @@ pub use analytics::{
     count_model, sample_model, AnalyticsOutcome, CountParams, ANALYTICS_SCHEMA_VERSION,
 };
 pub use cache::{CachedTreeCheck, ServiceCache, ServiceStats};
-pub use check::{
-    check_tree, check_tree_certified, check_tree_observed, check_tree_traced, CheckOutcome,
-    CheckReport, ProofBundle,
-};
+pub use check::{check_tree, check_tree_with, CheckOutcome, CheckReport, ProofBundle};
 pub use json::{Json, JsonError};
 pub use progress::{ProgressSnapshot, RequestProgress, StderrProgress};
 pub use proto::{BuildRequest, Request};
-pub use report::{
-    check_report_json, check_report_json_with_proof, proof_json, solver_json, REPORT_SCHEMA_VERSION,
-};
+pub use report::{check_report_json, proof_json, solver_json, REPORT_SCHEMA_VERSION};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -25,22 +25,12 @@ use crate::json::Json;
 /// Version stamp of the report layout. Bump on breaking changes.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
-/// Builds the `check` report document.
+/// Builds the `check` report document. `cert` carries the
+/// certification counters of a proof-emitting run (`llhsc check
+/// --certify`/`--proof`); the `proof` object is only present when it
+/// is, so an uncertified report renders byte-identically to what it
+/// always did.
 pub fn check_report_json(
-    report: &CheckReport,
-    stats: &RegionCheckStats,
-    solver: &SolverStats,
-    session: &SessionStats,
-    spans: &[SpanRecord],
-) -> Json {
-    check_report_json_with_proof(report, stats, solver, session, spans, None)
-}
-
-/// [`check_report_json`], optionally carrying the certification
-/// counters of a proof-emitting run (`llhsc check --certify`/`--proof`).
-/// The `proof` object is only present when `cert` is: an uncertified
-/// report renders byte-identically to what it always did.
-pub fn check_report_json_with_proof(
     report: &CheckReport,
     stats: &RegionCheckStats,
     solver: &SolverStats,
@@ -191,8 +181,10 @@ mod tests {
             t.spans()
         };
         let session = SessionStats::default();
-        let a = check_report_json(&report, &stats, &solver, &session, &spans(false)).to_string();
-        let b = check_report_json(&report, &stats, &solver, &session, &spans(true)).to_string();
+        let a =
+            check_report_json(&report, &stats, &solver, &session, &spans(false), None).to_string();
+        let b =
+            check_report_json(&report, &stats, &solver, &session, &spans(true), None).to_string();
         assert_eq!(a, b);
         assert!(a.contains(r#""spans":[{"counters":{},"name":"check","parent":null}"#));
         let parsed = Json::parse(&a).expect("report parses");
@@ -223,15 +215,14 @@ mod tests {
         let stats = RegionCheckStats::default();
         let solver = SolverStats::default();
         let session = SessionStats::default();
-        let plain = check_report_json(&report, &stats, &solver, &session, &[]);
+        let plain = check_report_json(&report, &stats, &solver, &session, &[], None);
         assert!(plain.get("proof").is_none(), "uncertified report is as-was");
         let cert = CertStats {
             proofs: 3,
             steps: 120,
             checked: 7,
         };
-        let certified =
-            check_report_json_with_proof(&report, &stats, &solver, &session, &[], Some(&cert));
+        let certified = check_report_json(&report, &stats, &solver, &session, &[], Some(&cert));
         let p = certified.get("proof").expect("certified report has proof");
         assert_eq!(p.get("proofs").and_then(Json::as_int), Some(3));
         assert_eq!(p.get("steps").and_then(Json::as_int), Some(120));

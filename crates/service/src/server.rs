@@ -23,7 +23,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use llhsc::{Pipeline, PipelineCache, PipelineProgress, ProgressSink, SolverStats};
+use llhsc::family::FamilyStats;
+use llhsc::{CheckOptions, Pipeline, PipelineCache, ProgressSink, SessionStats, SolverStats};
 use llhsc_obs::{
     chrome_trace_of, FlightRecord, FlightRecorder, Logger, Registry, SpanRecord, TraceCtx, Tracer,
 };
@@ -32,7 +33,7 @@ use crate::analytics::{
     analytics_key, count_model, count_params_key, sample_model, sample_params_key, AnalyticsOutcome,
 };
 use crate::cache::{CachedTreeCheck, ServiceCache, ServiceStats};
-use crate::check::check_tree_observed;
+use crate::check::check_tree_with;
 use crate::json::Json;
 use crate::progress::RequestProgress;
 use crate::proto::{
@@ -87,116 +88,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// Accumulated solver work performed by this daemon (fresh checks and
-/// builds only — cache hits add nothing), mirroring
-/// [`llhsc::PipelineOutput::solver_stats`] at service scope.
-#[derive(Debug, Default)]
-struct SolverTotals {
-    solves: AtomicU64,
-    decisions: AtomicU64,
-    propagations: AtomicU64,
-    conflicts: AtomicU64,
-    restarts: AtomicU64,
-}
-
-impl SolverTotals {
-    fn add(&self, s: &SolverStats) {
-        self.solves.fetch_add(s.solves, Ordering::Relaxed);
-        self.decisions.fetch_add(s.decisions, Ordering::Relaxed);
-        self.propagations
-            .fetch_add(s.propagations, Ordering::Relaxed);
-        self.conflicts.fetch_add(s.conflicts, Ordering::Relaxed);
-        self.restarts.fetch_add(s.restarts, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SolverStats {
-        SolverStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            decisions: self.decisions.load(Ordering::Relaxed),
-            propagations: self.propagations.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            ..SolverStats::default()
-        }
-    }
-}
-
-/// Accumulated solver-session reuse counters (fresh checks and builds
-/// only), the daemon-scope view of [`llhsc::SessionStats`].
-#[derive(Debug, Default)]
-struct SessionTotals {
-    slices_created: AtomicU64,
-    slices_reused: AtomicU64,
-    asserts_encoded: AtomicU64,
-    asserts_reused: AtomicU64,
-    checks: AtomicU64,
-}
-
-impl SessionTotals {
-    fn add(&self, s: &llhsc::SessionStats) {
-        self.slices_created
-            .fetch_add(s.slices_created, Ordering::Relaxed);
-        self.slices_reused
-            .fetch_add(s.slices_reused, Ordering::Relaxed);
-        self.asserts_encoded
-            .fetch_add(s.asserts_encoded, Ordering::Relaxed);
-        self.asserts_reused
-            .fetch_add(s.asserts_reused, Ordering::Relaxed);
-        self.checks.fetch_add(s.checks, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> llhsc::SessionStats {
-        llhsc::SessionStats {
-            slices_created: self.slices_created.load(Ordering::Relaxed),
-            slices_reused: self.slices_reused.load(Ordering::Relaxed),
-            asserts_encoded: self.asserts_encoded.load(Ordering::Relaxed),
-            asserts_reused: self.asserts_reused.load(Ordering::Relaxed),
-            checks: self.checks.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Accumulated family-mode checking counters (fresh verdicts only —
-/// cache hits replay the stored report without solver work), the
-/// daemon-scope view of [`llhsc::family::FamilyStats`].
-#[derive(Debug, Default)]
-struct FamilyTotals {
-    obligations_lifted: AtomicU64,
-    family_solves: AtomicU64,
-    witnesses_extracted: AtomicU64,
-    products_checked: AtomicU64,
-}
-
-impl FamilyTotals {
-    fn add(&self, s: &llhsc::family::FamilyStats) {
-        self.obligations_lifted
-            .fetch_add(s.obligations_lifted, Ordering::Relaxed);
-        self.family_solves
-            .fetch_add(s.family_solves, Ordering::Relaxed);
-        self.witnesses_extracted
-            .fetch_add(s.witnesses_extracted, Ordering::Relaxed);
-        self.products_checked
-            .fetch_add(s.products_checked, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> llhsc::family::FamilyStats {
-        llhsc::family::FamilyStats {
-            obligations_lifted: self.obligations_lifted.load(Ordering::Relaxed),
-            family_solves: self.family_solves.load(Ordering::Relaxed),
-            witnesses_extracted: self.witnesses_extracted.load(Ordering::Relaxed),
-            products_checked: self.products_checked.load(Ordering::Relaxed),
-            ..llhsc::family::FamilyStats::default()
-        }
-    }
-}
+/// Daemon-wide fresh work: solver counters, solver-session reuse and
+/// family-mode counters. Fresh checks and builds only — cache hits
+/// replay a stored result without solver work and add nothing.
+type Totals = (SolverStats, SessionStats, FamilyStats);
 
 /// Everything the worker threads share.
 struct ServiceState {
     cache: ServiceCache,
     stats: ServiceStats,
-    solver: SolverTotals,
-    session: SessionTotals,
-    family: FamilyTotals,
+    totals: Mutex<Totals>,
     metrics: Registry,
     logger: Logger,
     shutdown: AtomicBool,
@@ -237,6 +138,17 @@ impl ServiceState {
 
     fn active_lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<RequestProgress>>> {
         self.active.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn totals(&self) -> std::sync::MutexGuard<'_, Totals> {
+        self.totals.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Folds one fresh run's solver and session work into the totals.
+    fn add_work(&self, solver: &SolverStats, session: &SessionStats) {
+        let mut totals = self.totals();
+        totals.0.merge(solver);
+        totals.1.merge(session);
     }
 }
 
@@ -313,9 +225,7 @@ pub fn start(config: &ServerConfig) -> io::Result<ServerHandle> {
     let state = Arc::new(ServiceState {
         cache: ServiceCache::new(),
         stats: ServiceStats::default(),
-        solver: SolverTotals::default(),
-        session: SessionTotals::default(),
-        family: FamilyTotals::default(),
+        totals: Mutex::default(),
         metrics: Registry::new(),
         logger: Logger::from_env("llhsc-service"),
         shutdown: AtomicBool::new(false),
@@ -575,6 +485,17 @@ fn dump_slow_trace(
 /// Parses and executes one request line. Returns the response frame,
 /// the op name used for metrics labels and log lines, and the request's
 /// span tree when one was recorded (fed to slow-request capture).
+/// The options of one solver-bearing request: always traced against a
+/// zeroed clock (the span tree goes into the cache entry and the
+/// slow-request dump), heartbeating into the request's live progress.
+fn request_options(tracer: &Arc<Tracer>, progress: &Arc<RequestProgress>) -> CheckOptions {
+    CheckOptions {
+        trace: Some(TraceCtx::new(Arc::clone(tracer))),
+        progress: Some(Arc::clone(progress) as Arc<dyn ProgressSink>),
+        ..CheckOptions::default()
+    }
+}
+
 fn respond(
     state: &ServiceState,
     line: &str,
@@ -621,12 +542,9 @@ fn respond(
                             // span tree goes into the cached entry so a
                             // later `report: true` hit replays it.
                             let tracer = Arc::new(Tracer::zeroed());
-                            let ctx = TraceCtx::new(Arc::clone(&tracer));
-                            let sink: Arc<dyn ProgressSink> =
-                                Arc::clone(&progress) as Arc<dyn ProgressSink>;
-                            let outcome = check_tree_observed(&tree, Some(&ctx), sink);
-                            state.solver.add(&outcome.solver);
-                            state.session.add(&outcome.session);
+                            let (outcome, _) =
+                                check_tree_with(&tree, &request_options(&tracer, &progress));
+                            state.add_work(&outcome.solver, &outcome.session);
                             let fresh = CachedTreeCheck {
                                 report: outcome.report,
                                 stats: outcome.stats,
@@ -646,6 +564,7 @@ fn respond(
                             &check.solver,
                             &check.session,
                             &check.spans,
+                            None,
                         )
                     });
                     let frame = check_frame(&check.report, cached, doc);
@@ -686,7 +605,6 @@ fn respond(
                     // verdict content-addressed in the family cache.
                     progress.set_phase("family");
                     let tracer = Arc::new(Tracer::zeroed());
-                    let ctx = TraceCtx::new(Arc::clone(&tracer));
                     let mode = llhsc::family::CheckMode::Family;
                     let key = llhsc::family::family_key(&input, mode, false);
                     let frame = match state.cache.get(llhsc::CacheClass::Family, key) {
@@ -697,13 +615,13 @@ fn respond(
                             build_rejected_frame(&llhsc::PipelineError { diagnostics })
                         }
                         _ => {
-                            let mut checker = llhsc::family::FamilyChecker::new();
-                            checker.set_trace(ctx);
+                            let mut checker = llhsc::family::FamilyChecker::with_options(
+                                &request_options(&tracer, &progress),
+                            );
                             match checker.check(&input, mode) {
                                 Ok(report) => {
-                                    state.family.add(&report.stats);
-                                    state.solver.add(&report.stats.solver);
-                                    state.session.add(&report.stats.session);
+                                    state.add_work(&report.stats.solver, &report.stats.session);
+                                    state.totals().2.merge(&report.stats);
                                     state.cache.put(
                                         llhsc::CacheClass::Family,
                                         key,
@@ -727,18 +645,13 @@ fn respond(
                 Ok(input) => {
                     progress.set_phase("pipeline");
                     let tracer = Arc::new(Tracer::zeroed());
-                    let ctx = TraceCtx::new(Arc::clone(&tracer));
-                    let sink: Arc<dyn ProgressSink> =
-                        Arc::clone(&progress) as Arc<dyn ProgressSink>;
                     let pipeline = Pipeline {
-                        progress: Some(PipelineProgress::new(sink)),
+                        options: request_options(&tracer, &progress),
                         ..Pipeline::new()
                     };
-                    let frame = match pipeline.run_observed(&input, Some(&state.cache), Some(&ctx))
-                    {
+                    let frame = match pipeline.run_cached(&input, Some(&state.cache)) {
                         Ok(out) => {
-                            state.solver.add(&out.solver_stats);
-                            state.session.add(&out.session_stats);
+                            state.add_work(&out.solver_stats, &out.session_stats);
                             build_ok_frame(&out)
                         }
                         Err(e) => build_rejected_frame(&e),
@@ -774,10 +687,7 @@ fn serve_analytics(
     match compute(&ctx) {
         Err(e) => (error_frame(e), None),
         Ok(outcome) => {
-            state.solver.add(&SolverStats {
-                solves: outcome.solves,
-                ..SolverStats::default()
-            });
+            state.totals().0.solves += outcome.solves;
             state
                 .metrics
                 .counter(
@@ -852,6 +762,7 @@ fn stats_frame(state: &ServiceState) -> Json {
             .collect(),
     );
     let s = &state.stats;
+    let totals = *state.totals();
     Json::obj([
         ("ok", Json::Bool(true)),
         ("workers", state.workers.into()),
@@ -869,8 +780,8 @@ fn stats_frame(state: &ServiceState) -> Json {
             s.queue_wait_us_max.load(Ordering::Relaxed).into(),
         ),
         ("cache", cache),
-        ("solver", solver_json(&state.solver.snapshot())),
-        ("session", session_json(&state.session.snapshot())),
+        ("solver", solver_json(&totals.0)),
+        ("session", session_json(&totals.1)),
     ])
 }
 
@@ -925,7 +836,7 @@ fn metrics_text(state: &ServiceState) -> String {
         )
         .record_max(misses);
     }
-    let solver = state.solver.snapshot();
+    let (solver, session, family) = *state.totals();
     let sync = |name: &str, help: &str, value: u64| {
         m.counter(name, help, &[]).record_max(value);
     };
@@ -954,7 +865,6 @@ fn metrics_text(state: &ServiceState) -> String {
         "SAT-solver restarts performed (fresh work only).",
         solver.restarts,
     );
-    let session = state.session.snapshot();
     sync(
         "llhsc_session_slices_created_total",
         "Solver-session constraint slices encoded for the first time.",
@@ -980,7 +890,6 @@ fn metrics_text(state: &ServiceState) -> String {
         "Assumption-guarded checks discharged against shared contexts.",
         session.checks,
     );
-    let family = state.family.snapshot();
     sync(
         "llhsc_family_obligations_lifted_total",
         "Obligation sites encoded into lifted family-level queries.",
@@ -1007,7 +916,6 @@ fn metrics_text(state: &ServiceState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_tree_traced;
     use crate::client;
 
     #[test]
@@ -1042,14 +950,20 @@ mod tests {
         // The daemon's report document is byte-identical to the local
         // builder's.
         let tracer = Arc::new(Tracer::zeroed());
-        let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let local = check_tree_traced(&llhsc_dts::parse(dts).unwrap(), Some(&ctx));
+        let (local, _) = check_tree_with(
+            &llhsc_dts::parse(dts).unwrap(),
+            &CheckOptions {
+                trace: Some(TraceCtx::new(Arc::clone(&tracer))),
+                ..CheckOptions::default()
+            },
+        );
         let local_doc = check_report_json(
             &local.report,
             &local.stats,
             &local.solver,
             &local.session,
             &tracer.spans(),
+            None,
         );
         assert_eq!(report.to_string(), local_doc.to_string());
 

@@ -2,14 +2,15 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use llhsc_obs::{SpanId, TraceCtx};
 use llhsc_sat::{
-    check_drat, CheckMode, Cnf, DratOutcome, Lit, ProgressSink, ProofStep, SolveResult, Solver,
-    SolverConfig, SolverStats,
+    check_drat, CheckMode, Cnf, DratOutcome, Lit, ProofStep, SolveResult, Solver, SolverStats,
 };
 
 use crate::bitblast::{eval_in_model, Blaster, EvalValue, STR_WIDTH};
+use crate::options::CheckOptions;
 use crate::term::{mask, Sort, TermData, TermId, TermPool};
 
 /// Outcome of a [`Context::check`] call.
@@ -25,7 +26,7 @@ pub enum CheckResult {
 }
 
 /// Certification counters of a proof-recording context
-/// ([`Context::with_certification`]).
+/// ([`CheckOptions::certify`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertStats {
     /// Unsat verdicts certified — each one replayed through the in-tree
@@ -110,57 +111,43 @@ impl Default for Context {
 }
 
 impl Context {
-    /// Creates an empty context.
+    /// Creates an empty context with default options.
     pub fn new() -> Context {
-        Context::with_solver_config(SolverConfig::default())
+        Context::with_options(&CheckOptions::default())
     }
 
-    /// Creates an empty context over a solver with the given
-    /// configuration — the ablation entry point for the benchmark
-    /// harness (in-processing flags, restart policy, …).
-    pub fn with_solver_config(config: SolverConfig) -> Context {
+    /// Creates an empty context configured by `opts`: the solver
+    /// configuration, clause logging (for [`Context::export_cnf`]),
+    /// certification (every `Unsat` answer replayed through
+    /// [`llhsc_sat::check_drat`] before being reported; a proof that
+    /// does not verify panics), the progress sink and the trace parent
+    /// (see [`Context::set_trace`]).
+    pub fn with_options(opts: &CheckOptions) -> Context {
+        let mut solver = Solver::with_config(opts.solver.clone());
+        if opts.clause_log || opts.certify {
+            solver.enable_clause_log();
+        }
+        if opts.certify {
+            solver.enable_proof();
+        }
+        if let Some(sink) = &opts.progress {
+            solver.set_progress(Arc::clone(sink));
+        }
         Context {
             pool: TermPool::new(),
-            solver: Solver::with_config(config),
+            trace_base: Cell::new(solver.stats()),
+            solver,
             blaster: Blaster::new(),
             scopes: Vec::new(),
             asserted: vec![Vec::new()],
             last_model: None,
             assumption_lits: HashMap::new(),
             last_core: Vec::new(),
-            trace: None,
-            trace_base: Cell::new(SolverStats::default()),
+            trace: opts.trace.clone(),
             last_solve: Cell::new(None),
-            certify: false,
+            certify: opts.certify,
             cert: CertStats::default(),
         }
-    }
-
-    /// Creates a context whose solver records every problem clause, so
-    /// the accumulated bit-blasted formula can later be exported with
-    /// [`Context::export_cnf`]. Costs one extra copy of each clause;
-    /// use [`Context::new`] when export is not needed.
-    pub fn with_clause_log() -> Context {
-        let mut ctx = Context::new();
-        ctx.solver.enable_clause_log();
-        ctx
-    }
-
-    /// Creates a *certifying* context: the solver records the
-    /// bit-blasted formula and a DRAT proof of every deduction, and each
-    /// `Unsat` answer is replayed through the in-tree backward checker
-    /// ([`llhsc_sat::check_drat`]) before being reported. An answer
-    /// whose proof does not verify panics — an UNSAT verdict is exactly
-    /// the one a user cannot cross-examine, so a broken proof must never
-    /// be reported as a clean refutation. Costs one copy of each clause
-    /// plus the proof log and a checker replay per refutation; use
-    /// [`Context::new`] when certification is not requested.
-    pub fn with_certification() -> Context {
-        let mut ctx = Context::new();
-        ctx.solver.enable_clause_log();
-        ctx.solver.enable_proof();
-        ctx.certify = true;
-        ctx
     }
 
     /// Exports the bit-blasted formula as a standalone [`Cnf`] plus the
@@ -179,7 +166,7 @@ impl Context {
     /// projection is always complete.
     ///
     /// Returns `None` unless the context was created with
-    /// [`Context::with_clause_log`].
+    /// [`CheckOptions::clause_log`] (or `certify`) set.
     ///
     /// # Panics
     ///
@@ -232,20 +219,6 @@ impl Context {
         self.trace = Some(trace);
         self.trace_base.set(self.solver.stats());
         self.last_solve.set(None);
-    }
-
-    /// Installs an in-solve progress sink on the underlying SAT solver:
-    /// every [`SolverConfig::heartbeat_every`] conflicts of any check
-    /// made through this context emits one
-    /// [`Heartbeat`](llhsc_sat::Heartbeat). Observation-only; verdicts,
-    /// models and counters are unaffected.
-    pub fn set_progress(&mut self, sink: std::sync::Arc<dyn ProgressSink>) {
-        self.solver.set_progress(sink);
-    }
-
-    /// Removes the progress sink, if any.
-    pub fn clear_progress(&mut self) {
-        self.solver.clear_progress();
     }
 
     /// Detaches the trace context, if any, after folding trailing
@@ -1132,7 +1105,7 @@ impl Context {
     /// The accumulated formula and DRAT proof of a proof-recording
     /// context, for writing out as independently checkable artifacts
     /// (`llhsc check --proof`). `None` unless the context was created
-    /// with [`Context::with_certification`].
+    /// with [`CheckOptions::certify`] set.
     pub fn export_proof(&self) -> Option<(Cnf, Vec<ProofStep>)> {
         let proof = self.solver.proof()?;
         let logged = self.solver.logged_clauses()?;
@@ -1273,7 +1246,10 @@ mod tests {
     fn export_cnf_mirrors_the_context() {
         use llhsc_sat::ModelIter;
 
-        let mut ctx = Context::with_clause_log();
+        let mut ctx = Context::with_options(&CheckOptions {
+            clause_log: true,
+            ..CheckOptions::default()
+        });
         let a = ctx.bool_var("a");
         let b = ctx.bool_var("b");
         let ab = ctx.or([a, b]);
@@ -1291,7 +1267,10 @@ mod tests {
     fn export_cnf_pins_open_scopes_and_drops_popped_ones() {
         use llhsc_sat::SolveResult;
 
-        let mut ctx = Context::with_clause_log();
+        let mut ctx = Context::with_options(&CheckOptions {
+            clause_log: true,
+            ..CheckOptions::default()
+        });
         let a = ctx.bool_var("a");
         ctx.push();
         let na = ctx.not(a);
@@ -1322,7 +1301,10 @@ mod tests {
 
     #[test]
     fn certified_unsat_checks_its_own_proof() {
-        let mut ctx = Context::with_certification();
+        let mut ctx = Context::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let a = ctx.bool_var("a");
         let b = ctx.bool_var("b");
         let ab = ctx.or([a, b]);
@@ -1342,7 +1324,10 @@ mod tests {
     fn certified_proof_replays_through_a_fresh_checker() {
         use llhsc_sat::{check_drat, CheckMode};
 
-        let mut ctx = Context::with_certification();
+        let mut ctx = Context::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let x = ctx.bv_var("x", 8);
         let lo = ctx.bv_const(10, 8);
         let hi = ctx.bv_const(5, 8);
@@ -1358,7 +1343,10 @@ mod tests {
 
     #[test]
     fn certification_counts_accumulate_across_unsat_scopes() {
-        let mut ctx = Context::with_certification();
+        let mut ctx = Context::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let a = ctx.bool_var("a");
         ctx.assert(a);
         ctx.push();

@@ -42,6 +42,7 @@
 
 mod bitblast;
 mod context;
+mod options;
 mod session;
 mod term;
 
@@ -50,5 +51,6 @@ pub use llhsc_sat::{
     check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, AllocStats, CheckMode, Cnf,
     DratError, DratOutcome, ProofStep, SolverConfig, SolverStats,
 };
+pub use options::CheckOptions;
 pub use session::{slice_key, SessionStats, Slice, SolverSession};
 pub use term::{Sort, TermId};

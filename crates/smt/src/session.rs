@@ -23,9 +23,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use llhsc_sat::{Cnf, Lit, ProofStep, SolverConfig};
+use llhsc_sat::{Cnf, Lit, ProofStep};
 
 use crate::context::{CertStats, CheckResult, Context, Model};
+use crate::options::CheckOptions;
 use crate::term::TermId;
 
 /// Stable FNV-1a hash of arbitrary bytes, for deriving slice keys from
@@ -122,52 +123,21 @@ impl SolverSession {
         SolverSession::default()
     }
 
-    /// Creates a session whose context records every problem clause
-    /// (see [`Context::with_clause_log`]), enabling
-    /// [`SolverSession::export_projected`].
-    pub fn with_logged_context() -> SolverSession {
+    /// Creates an empty session around a context built from `opts` (see
+    /// [`Context::with_options`]): a `clause_log` session supports
+    /// [`SolverSession::export_projected`], a `certify` session replays
+    /// every `Unsat` verdict's DRAT proof before reporting it and
+    /// exports the formula + proof pair via
+    /// [`SolverSession::export_proof`].
+    pub fn with_options(opts: &CheckOptions) -> SolverSession {
         SolverSession {
-            ctx: Context::with_clause_log(),
+            ctx: Context::with_options(opts),
             ..SolverSession::default()
         }
-    }
-
-    /// Creates a *certifying* session (see
-    /// [`Context::with_certification`]): every `Unsat` verdict any check
-    /// produces carries a DRAT proof that is replayed through the
-    /// in-tree checker before the verdict is reported, and the formula +
-    /// proof pair can be exported with [`SolverSession::export_proof`].
-    pub fn with_certification() -> SolverSession {
-        SolverSession {
-            ctx: Context::with_certification(),
-            ..SolverSession::default()
-        }
-    }
-
-    /// Creates a session over a solver with the given configuration,
-    /// for in-processing/restart ablation runs.
-    pub fn with_solver_config(config: SolverConfig) -> SolverSession {
-        SolverSession {
-            ctx: Context::with_solver_config(config),
-            ..SolverSession::default()
-        }
-    }
-
-    /// Installs an in-solve progress sink on the shared context (see
-    /// [`Context::set_progress`]): every check made through this session
-    /// heartbeats through it. Observation-only.
-    pub fn set_progress(&mut self, sink: std::sync::Arc<dyn llhsc_sat::ProgressSink>) {
-        self.ctx.set_progress(sink);
-    }
-
-    /// Removes the progress sink, if any.
-    pub fn clear_progress(&mut self) {
-        self.ctx.clear_progress();
     }
 
     /// Certification counters of the underlying context (zero unless
-    /// the session was created with
-    /// [`SolverSession::with_certification`]).
+    /// the session was created with [`CheckOptions::certify`] set).
     pub fn cert_stats(&self) -> CertStats {
         self.ctx.cert_stats()
     }
@@ -186,7 +156,7 @@ impl SolverSession {
     /// [`Context::export_cnf`]); the returned literals align with it.
     ///
     /// Returns `None` unless the session was created with
-    /// [`SolverSession::with_logged_context`].
+    /// [`CheckOptions::clause_log`] set.
     pub fn export_projected(
         &mut self,
         active: &[Slice],
@@ -393,7 +363,10 @@ mod tests {
     fn certifying_session_proves_every_unsat_check() {
         use llhsc_sat::{check_drat, CheckMode};
 
-        let mut s = SolverSession::with_certification();
+        let mut s = SolverSession::with_options(&CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        });
         let x = s.ctx_mut().bv_var("x", 8);
         let lo = s.ctx_mut().bv_const(10, 8);
         let hi = s.ctx_mut().bv_const(5, 8);
@@ -499,7 +472,10 @@ mod tests {
     fn export_projected_respects_active_slices() {
         use llhsc_sat::ModelIter;
 
-        let mut s = SolverSession::with_logged_context();
+        let mut s = SolverSession::with_options(&CheckOptions {
+            clause_log: true,
+            ..CheckOptions::default()
+        });
         let p = s.ctx_mut().bool_var("p");
         let q = s.ctx_mut().bool_var("q");
         let pq = s.ctx_mut().or([p, q]);
