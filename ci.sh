@@ -1,14 +1,18 @@
 #!/bin/sh
 # Local CI: everything must pass before a change lands.
 # Runs fully offline — the workspace has no registry dependencies
-# (proptest/criterion are in-tree shims, see crates/proptest and
-# crates/criterion).
+# (proptest is an in-tree shim, see crates/proptest).
 set -eux
 
 cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Documentation must build without warnings, so a deleted item cannot
+# leave an intra-doc link dangling. `--lib` because the `llhsc` binary
+# and the `llhsc` library would both write doc/llhsc/index.html.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 
 # The benchmark package (perf/) is a workspace of its own, so nothing
 # above compiles it: build it, run its unit tests and its --quick smoke

@@ -1,18 +1,17 @@
-//! Workload generators shared by the llhsc benchmark harness.
+//! Workload generators of the `llhsc-bench` suites (and the PRNG the
+//! repository benchmark under `perf/` draws its workloads from).
 //!
 //! The paper's evaluation (§V) is qualitative — a running example — so
-//! the bench suite measures the *scaling claims made in prose*: SAT
-//! solving of feature models "is easy" (Mendonca et al.), formula (7) is pairwise in
-//! the number of regions, bit-blasting cost grows with address width,
-//! and the incremental pipeline beats re-solving from scratch. Every
-//! generator here is deterministic (seeded) so runs are comparable.
+//! the suites measure the *scaling claims made in prose*: feature-model
+//! analysis "is easy" (Mendonca et al.), a shared solver session
+//! amortizes encoding across VMs, and lifted family checking stays flat
+//! while the product count grows. Every generator here is deterministic
+//! so runs are comparable.
 
-use llhsc_dts::{DeviceTree, Property};
 use llhsc_fm::{FeatureModel, GroupKind};
-use llhsc_sat::{Cnf, Lit, Var};
 
-/// A tiny deterministic PRNG (SplitMix64), so benches do not depend on
-/// `rand` internals staying stable across versions.
+/// A tiny deterministic PRNG (SplitMix64), so workloads do not depend
+/// on `rand` internals staying stable across versions.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -42,45 +41,6 @@ impl SplitMix64 {
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-}
-
-/// Random 3-SAT at clause ratio `ratio` (4.26 ≈ phase transition).
-pub fn random_3sat(vars: usize, ratio: f64, seed: u64) -> Cnf {
-    let mut rng = SplitMix64::new(seed);
-    let mut cnf = Cnf::new();
-    let vs: Vec<Var> = (0..vars).map(|_| cnf.new_var()).collect();
-    let clauses = (vars as f64 * ratio) as usize;
-    for _ in 0..clauses {
-        let lits: Vec<Lit> = (0..3)
-            .map(|_| {
-                let v = vs[rng.below(vars as u64) as usize];
-                Lit::new(v, rng.bool())
-            })
-            .collect();
-        cnf.add_clause(lits);
-    }
-    cnf
-}
-
-/// The (unsatisfiable) pigeonhole principle PHP(n+1, n).
-#[allow(clippy::needless_range_loop)] // the h/i/j index form mirrors the formula
-pub fn pigeonhole(holes: usize) -> Cnf {
-    let pigeons = holes + 1;
-    let mut cnf = Cnf::new();
-    let p: Vec<Vec<Lit>> = (0..pigeons)
-        .map(|_| (0..holes).map(|_| Lit::pos(cnf.new_var())).collect())
-        .collect();
-    for row in &p {
-        cnf.add_clause(row.iter().copied());
-    }
-    for h in 0..holes {
-        for i in 0..pigeons {
-            for j in (i + 1)..pigeons {
-                cnf.add_clause([!p[i][h], !p[j][h]]);
-            }
-        }
-    }
-    cnf
 }
 
 /// A feature model shaped like the CustomSBC one, scaled: `groups` XOR
@@ -150,49 +110,6 @@ pub fn synthetic_vm_board(devices: usize, vm: usize) -> String {
     out
 }
 
-/// `n` region descriptors; if `collide`, the last one overlaps the
-/// first.
-pub fn regions(n: usize, collide: bool) -> Vec<llhsc::RegionRef> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let base = 0x1000_0000u128 + (i as u128) * 0x10_0000;
-        out.push(llhsc::RegionRef {
-            path: format!("/dev{i}"),
-            index: 0,
-            region: llhsc_dts::cells::RegEntry::new(base, 0x1000),
-            virtual_device: false,
-        });
-    }
-    if collide && n >= 2 {
-        out.last_mut().expect("n >= 2").region =
-            llhsc_dts::cells::RegEntry::new(0x1000_0000, 0x2000);
-    }
-    out
-}
-
-/// A product line with `n` deltas, each adding one device node under
-/// the root, all unconditionally active, linearly ordered by `after`.
-pub fn scaled_deltas(n: usize) -> (DeviceTree, Vec<llhsc_delta::DeltaModule>) {
-    let mut core = DeviceTree::new();
-    core.root.set_prop(Property::cells("#address-cells", [1]));
-    core.root.set_prop(Property::cells("#size-cells", [1]));
-    core.ensure("/soc");
-    let mut src = String::new();
-    for i in 0..n {
-        let after = if i == 0 {
-            String::new()
-        } else {
-            format!(" after dl{}", i - 1)
-        };
-        let base = 0x2000_0000u64 + (i as u64) * 0x1000;
-        src.push_str(&format!(
-            "delta dl{i}{after} {{ adds /soc {{ dev{i}@{base:x} {{ reg = <{base:#x} 0x1000>; }}; }}; }}\n"
-        ));
-    }
-    let deltas = llhsc_delta::DeltaModule::parse_all(&src).expect("generated deltas parse");
-    (core, deltas)
-}
-
 /// Fixed device nodes every [`family_board`] fixture carries,
 /// independent of its feature count.
 pub const FAMILY_FIXED_DEVICES: usize = 12;
@@ -259,7 +176,6 @@ pub fn family_board(features: usize) -> llhsc::PipelineInput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llhsc_sat::SolveResult;
 
     #[test]
     fn rng_is_deterministic() {
@@ -268,18 +184,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn pigeonhole_is_unsat() {
-        assert_eq!(pigeonhole(4).to_solver().solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn random_3sat_shape() {
-        let cnf = random_3sat(20, 4.26, 1);
-        assert_eq!(cnf.num_vars(), 20);
-        assert_eq!(cnf.num_clauses(), (20.0 * 4.26) as usize);
     }
 
     #[test]
@@ -299,16 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn regions_collide_only_when_asked() {
-        let clean = regions(8, false);
-        assert!(llhsc::SemanticChecker::new()
-            .check_regions(&clean)
-            .is_empty());
-        let dirty = regions(8, true);
-        assert_eq!(llhsc::SemanticChecker::new().check_regions(&dirty).len(), 1);
-    }
-
-    #[test]
     fn family_board_lifts_and_is_clean() {
         let input = family_board(3);
         let report = llhsc::family::FamilyChecker::new()
@@ -319,14 +213,5 @@ mod tests {
         assert_eq!(report.products, 1 << 4); // 2 alternatives × 2^3 options
         assert_eq!(report.stats.family_solves, 1);
         assert_eq!(report.stats.products_checked, 0);
-    }
-
-    #[test]
-    fn scaled_deltas_apply() {
-        let (core, deltas) = scaled_deltas(5);
-        let line = llhsc_delta::ProductLine::new(core, deltas);
-        let p = line.derive(&[]).unwrap();
-        assert_eq!(p.order.len(), 5);
-        assert!(p.tree.find("/soc/dev4@20004000").is_some());
     }
 }

@@ -1,8 +1,7 @@
 //! `llhsc-bench` — the machine-readable perf harness.
 //!
-//! The criterion benches under `benches/` answer "did this get
-//! slower?" interactively; this binary answers "what does a run cost?"
-//! in a form the perf trajectory can store: `--json` writes
+//! It answers "what does a run cost?" in a form the perf trajectory
+//! can store: `--json` writes
 //! `BENCH_pipeline.json`, one entry per scenario with wall time and the
 //! run's fresh solver work (the same counters `llhsc check --stats`
 //! and the daemon `stats` op report). The schema is documented in

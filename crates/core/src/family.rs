@@ -259,10 +259,11 @@ pub struct FamilyChecker {
     /// check's `family_check` span, the solver configuration and
     /// progress sink also reach the per-product sub-checkers.
     options: CheckOptions,
-    /// Enumeration budget for the product count reported alongside the
-    /// verdict (the verdict itself never enumerates in lifted mode).
-    pub count_budget: u64,
 }
+
+/// Enumeration budget for the product count reported alongside the
+/// verdict (the verdict itself never enumerates in lifted mode).
+const COUNT_BUDGET: u64 = 1 << 16;
 
 impl Default for FamilyChecker {
     fn default() -> FamilyChecker {
@@ -289,7 +290,6 @@ impl FamilyChecker {
                 ..opts.clone()
             }),
             options: opts.clone(),
-            count_budget: 1 << 16,
         }
     }
 
@@ -384,7 +384,7 @@ impl FamilyChecker {
         trace: Option<&TraceCtx>,
     ) -> Result<FamilyReport, PipelineError> {
         let mut an = Analyzer::new(&input.model);
-        let count = an.count_products_budgeted(self.count_budget);
+        let count = an.count_products_budgeted(COUNT_BUDGET);
         let mut stats = FamilyStats::default();
 
         let (lifted, fallback, findings) = match mode {

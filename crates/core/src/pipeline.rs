@@ -134,21 +134,13 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
+/// Stage-2 translation granularity: a region whose base or size is not
+/// a multiple of this draws a warning.
+const PAGE_SIZE: u128 = 0x1000;
+
 /// The llhsc tool: runs the Fig. 2 workflow.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Pipeline {
-    /// Skip the semantic checker (ablation: "dt-schema mode").
-    pub skip_semantic: bool,
-    /// Skip the syntactic checker (ablation: "dtc mode").
-    pub skip_syntactic: bool,
-    /// Warn when a region's base or size is not a multiple of this
-    /// (stage-2 translation granularity). `None` disables the check.
-    pub page_alignment: Option<u128>,
-    /// Check the derived trees (stage 3+4) on one thread each instead
-    /// of serially. The trees are independent, so this is safe; the
-    /// diagnostics are merged in VM order (platform last), making the
-    /// output byte-identical to a serial run.
-    pub parallel: bool,
     /// The options every solver-bearing stage is built from
     /// (allocation, syntactic rule slices, semantic disjointness,
     /// cross-tree coverage). With a trace, the run records a span tree
@@ -160,18 +152,6 @@ pub struct Pipeline {
     /// receives heartbeats from every stage's solver. Observation
     /// changes no verdict, diagnostic byte or solver counter.
     pub options: CheckOptions,
-}
-
-impl Default for Pipeline {
-    fn default() -> Pipeline {
-        Pipeline {
-            skip_semantic: false,
-            skip_syntactic: false,
-            page_alignment: Some(0x1000),
-            parallel: true,
-            options: CheckOptions::default(),
-        }
-    }
 }
 
 impl Pipeline {
@@ -406,14 +386,14 @@ impl Pipeline {
         timings.derivation = stage_start.elapsed();
 
         // ---- Stage 3+4: check every derived tree ----
-        // The trees are independent, so each gets its own checker run —
-        // on its own thread when `parallel` is set. Results are merged
-        // in VM order (platform last), so the diagnostic stream is
-        // byte-identical to a serial run. Each product's result is
-        // cached under a key covering the product (tree, order,
-        // provenance), the schemas and the checker configuration;
-        // diagnostics are cached VM-less and stamped after retrieval so
-        // identical products can share an entry across VM slots.
+        // The trees are independent, so each gets its own checker run
+        // on its own thread. Results are merged in VM order (platform
+        // last), so the diagnostic stream does not depend on thread
+        // scheduling. Each product's result is cached under a key
+        // covering the product (tree, order, provenance) and the
+        // schemas; diagnostics are cached VM-less and stamped after
+        // retrieval so identical products can share an entry across VM
+        // slots.
         let stage_start = Instant::now();
         let check_span = StageSpan::begin(trace, "checking");
         let check_ctx = check_span.as_ref().map(StageSpan::child);
@@ -433,10 +413,7 @@ impl Pipeline {
             llhsc_smt::SessionStats,
         );
         let schemas = &input.schemas;
-        let check_one = |vm: Option<usize>,
-                         product: &DerivedProduct,
-                         syn_session: &mut Option<SolverSession>|
-         -> Checked {
+        let check_one = |vm: Option<usize>, product: &DerivedProduct| -> Checked {
             let product_span = check_ctx.map(|t| {
                 let id = t.begin("product_check");
                 if let Some(k) = vm {
@@ -444,7 +421,7 @@ impl Pipeline {
                 }
                 (t, id)
             });
-            let key = self.product_check_key(schemas_hash, product);
+            let key = product_check_key(schemas_hash, product);
             if let Some(CacheEntry::Check(hit)) = lookup(cache, CacheClass::ProductCheck, key) {
                 if let Some((t, id)) = product_span {
                     t.add(id, "cache_hit", 1);
@@ -464,7 +441,7 @@ impl Pipeline {
                 t.at(id)
             });
             let (diags, stats, fresh, session) =
-                self.check_product(schemas, product, scoped.as_ref(), syn_session);
+                self.check_product(schemas, product, scoped.as_ref());
             store(
                 cache,
                 CacheClass::ProductCheck,
@@ -479,33 +456,17 @@ impl Pipeline {
             }
             (diags, stats, fresh, session)
         };
-        let checked: Vec<Checked> = if self.parallel && all.len() > 1 {
-            let check_one = &check_one;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = all
-                    .iter()
-                    .map(|&(vm, product)| {
-                        // Each thread runs a private solver session; the
-                        // cross-product reuse is a serial-mode win.
-                        s.spawn(move || check_one(vm, product, &mut None))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("checker thread panicked"))
-                    .collect()
-            })
-        } else {
-            // Serial checking threads one solver session through every
-            // product's syntactic check: the shared schema-rule
-            // encodings are bit-blasted once and learnt clauses carry
-            // over, with each product's obligations isolated in its own
-            // assumption-guarded slice.
-            let mut syn_session = None;
-            all.iter()
-                .map(|&(vm, product)| check_one(vm, product, &mut syn_session))
+        let check_one = &check_one;
+        let checked: Vec<Checked> = std::thread::scope(|s| {
+            let handles: Vec<_> = all
+                .iter()
+                .map(|&(vm, product)| s.spawn(move || check_one(vm, product)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("checker thread panicked"))
                 .collect()
-        };
+        });
         let mut semantic_stats = RegionCheckStats::default();
         for ((vm, _), (mut tree_diags, tree_stats, fresh, session)) in all.iter().zip(checked) {
             for d in &mut tree_diags {
@@ -641,17 +602,6 @@ impl Pipeline {
         })
     }
 
-    /// The cache key of one stage-3+4 product check: the derived
-    /// product (tree + order + provenance, so blame survives caching),
-    /// the schema set and every checker knob that shapes the result.
-    fn product_check_key(&self, schemas_hash: u64, product: &DerivedProduct) -> u64 {
-        let mut h = Fnv1a::new();
-        product.stable_hash().hash(&mut h);
-        schemas_hash.hash(&mut h);
-        (self.skip_syntactic, self.skip_semantic, self.page_alignment).hash(&mut h);
-        h.finish()
-    }
-
     /// Stage 3+4 for one derived tree: syntactic check, page-alignment
     /// warnings and the semantic check, with every finding blamed on
     /// the deltas that touched the offending nodes. Pure function of
@@ -660,13 +610,13 @@ impl Pipeline {
     /// stamps it, so cached results are VM-agnostic. The returned
     /// [`SolverStats`] are the solver work this call performed; with a
     /// trace context, a `"syntactic"` and a `"semantic"` span nest
-    /// under it, each parenting its checker's `"solve"` spans.
+    /// under it, each parenting its checker's `"solve"` spans. Each call
+    /// builds its own solver sessions, so calls share no state.
     fn check_product(
         &self,
         schemas: &SchemaSet,
         product: &DerivedProduct,
         trace: Option<&TraceCtx>,
-        syn_session: &mut Option<SolverSession>,
     ) -> (
         Vec<Diagnostic>,
         RegionCheckStats,
@@ -677,95 +627,98 @@ impl Pipeline {
         let mut stats = RegionCheckStats::default();
         let mut fresh = SolverStats::default();
         let mut session_work = llhsc_smt::SessionStats::default();
-        if !self.skip_syntactic {
-            let span = StageSpan::begin(trace, "syntactic");
-            let session = syn_session.take().unwrap_or_else(|| {
-                SolverSession::with_options(&CheckOptions {
-                    trace: None,
-                    ..self.options.clone()
-                })
-            });
-            let session_base = session.stats();
-            let mut checker = SyntacticChecker::with_session(&product.tree, schemas, session);
-            if let Some(span) = &span {
-                checker.context_mut().set_trace(span.child());
-            }
-            let solver_base = checker.solver_stats();
-            let report = checker.check();
-            fresh.merge(&checker.solver_stats().delta_since(&solver_base));
-            session_work.merge(&checker.session_stats().delta_since(&session_base));
-            *syn_session = Some(checker.into_session());
-            StageSpan::finish(span);
-            for v in report.violations {
-                diagnostics.push(
-                    Diagnostic::error(Stage::Syntactic, v.to_string()).blame(
-                        product
-                            .blame_subtree(&v.path)
-                            .into_iter()
-                            .cloned()
-                            .collect(),
+        let span = StageSpan::begin(trace, "syntactic");
+        let session = SolverSession::with_options(&CheckOptions {
+            trace: None,
+            ..self.options.clone()
+        });
+        let session_base = session.stats();
+        let mut checker = SyntacticChecker::with_session(&product.tree, schemas, session);
+        if let Some(span) = &span {
+            checker.context_mut().set_trace(span.child());
+        }
+        let solver_base = checker.solver_stats();
+        let report = checker.check();
+        fresh.merge(&checker.solver_stats().delta_since(&solver_base));
+        session_work.merge(&checker.session_stats().delta_since(&session_base));
+        StageSpan::finish(span);
+        for v in report.violations {
+            diagnostics.push(
+                Diagnostic::error(Stage::Syntactic, v.to_string()).blame(
+                    product
+                        .blame_subtree(&v.path)
+                        .into_iter()
+                        .cloned()
+                        .collect(),
+                ),
+            );
+        }
+
+        let checker = SemanticChecker::new();
+        if let Ok(refs) = checker.collect_refs(&product.tree) {
+            for bad in checker.check_alignment(&refs, PAGE_SIZE) {
+                diagnostics.push(Diagnostic::warning(
+                    Stage::Semantic,
+                    format!(
+                        "{bad} is not {PAGE_SIZE:#x}-aligned; stage-2 mapping \
+                         will round it to page boundaries"
                     ),
-                );
+                ));
             }
         }
-        if let Some(align) = self.page_alignment {
-            let checker = SemanticChecker::new();
-            if let Ok(refs) = checker.collect_refs(&product.tree) {
-                for bad in checker.check_alignment(&refs, align) {
-                    diagnostics.push(Diagnostic::warning(
+
+        let span = StageSpan::begin(trace, "semantic");
+        let mut checker = SemanticChecker::with_options(&self.stage_options(span.as_ref()));
+        let outcome = checker.check_tree_with_stats(&product.tree);
+        session_work.merge(&checker.session_stats());
+        StageSpan::finish(span);
+        match outcome {
+            Ok((report, tree_stats)) => {
+                fresh.merge(&tree_stats.solver);
+                stats = tree_stats;
+                for c in report.collisions {
+                    let mut blamed: Vec<llhsc_delta::Provenance> = product
+                        .blame_subtree(&c.a.path)
+                        .into_iter()
+                        .cloned()
+                        .collect();
+                    blamed.extend(product.blame_subtree(&c.b.path).into_iter().cloned());
+                    blamed.dedup();
+                    diagnostics
+                        .push(Diagnostic::error(Stage::Semantic, c.to_string()).blame(blamed));
+                }
+                for (line_no, users) in report.interrupt_conflicts {
+                    diagnostics.push(Diagnostic::error(
                         Stage::Semantic,
                         format!(
-                            "{bad} is not {align:#x}-aligned; stage-2 mapping \
-                             will round it to page boundaries"
+                            "interrupt line {line_no} claimed by multiple devices: {}",
+                            users.join(", ")
                         ),
                     ));
                 }
+                for r in report.wrapping {
+                    diagnostics.push(Diagnostic::error(
+                        Stage::Semantic,
+                        format!("region wraps past the end of the address space: {r}"),
+                    ));
+                }
             }
-        }
-        if !self.skip_semantic {
-            let span = StageSpan::begin(trace, "semantic");
-            let mut checker = SemanticChecker::with_options(&self.stage_options(span.as_ref()));
-            let outcome = checker.check_tree_with_stats(&product.tree);
-            session_work.merge(&checker.session_stats());
-            StageSpan::finish(span);
-            match outcome {
-                Ok((report, tree_stats)) => {
-                    fresh.merge(&tree_stats.solver);
-                    stats = tree_stats;
-                    for c in report.collisions {
-                        let mut blamed: Vec<llhsc_delta::Provenance> = product
-                            .blame_subtree(&c.a.path)
-                            .into_iter()
-                            .cloned()
-                            .collect();
-                        blamed.extend(product.blame_subtree(&c.b.path).into_iter().cloned());
-                        blamed.dedup();
-                        diagnostics
-                            .push(Diagnostic::error(Stage::Semantic, c.to_string()).blame(blamed));
-                    }
-                    for (line_no, users) in report.interrupt_conflicts {
-                        diagnostics.push(Diagnostic::error(
-                            Stage::Semantic,
-                            format!(
-                                "interrupt line {line_no} claimed by multiple devices: {}",
-                                users.join(", ")
-                            ),
-                        ));
-                    }
-                    for r in report.wrapping {
-                        diagnostics.push(Diagnostic::error(
-                            Stage::Semantic,
-                            format!("region wraps past the end of the address space: {r}"),
-                        ));
-                    }
-                }
-                Err(e) => {
-                    diagnostics.push(Diagnostic::error(Stage::Semantic, e.to_string()));
-                }
+            Err(e) => {
+                diagnostics.push(Diagnostic::error(Stage::Semantic, e.to_string()));
             }
         }
         (diagnostics, stats, fresh, session_work)
     }
+}
+
+/// The cache key of one stage-3+4 product check: the derived product
+/// (tree + order + provenance, so blame survives caching) and the
+/// schema set.
+fn product_check_key(schemas_hash: u64, product: &DerivedProduct) -> u64 {
+    let mut h = Fnv1a::new();
+    product.stable_hash().hash(&mut h);
+    schemas_hash.hash(&mut h);
+    h.finish()
 }
 
 /// The stage-1 cache key: the feature model plus every VM's raw
@@ -944,23 +897,28 @@ mod tests {
 
     #[test]
     fn ablation_dt_schema_mode_misses_the_clash() {
-        // skip_semantic = the dt-schema baseline: the sabotage from
-        // `semantic_error_blames_delta` sails through syntactically…
-        let mut input = running_example::pipeline_input();
+        // The dt-schema baseline is the structural checker alone: the
+        // sabotage from `semantic_error_blames_delta` passes every
+        // schema rule, and only the semantic checker sees the clash.
         let deltas_src = running_example::DELTAS.replace(
             "compatible = \"veth\";\n            reg = <0x80000000 0x10000000>;",
             "compatible = \"pci\";\n            reg = <0x60000000 0x10000000>;",
         );
-        input.deltas = llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap();
-        let ablated = Pipeline {
-            skip_semantic: true,
-            ..Pipeline::new()
-        };
-        assert!(
-            ablated.run(&input).is_ok(),
-            "dt-schema mode must not catch the address clash"
+        let line = ProductLine::new(
+            running_example::core_tree(),
+            llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap(),
         );
-        // …while the full pipeline rejects it (shown in the other test).
+        let vm1 = &running_example::vm_specs()[0];
+        let names: Vec<&str> = vm1.features.iter().map(String::as_str).collect();
+        let tree = line.derive(&names).unwrap().tree;
+        let report = SyntacticChecker::new(&tree, &running_example::schemas()).check();
+        assert!(
+            report.violations.is_empty(),
+            "dt-schema mode must not catch the address clash: {:?}",
+            report.violations
+        );
+        let semantic = SemanticChecker::new().check_tree(&tree).unwrap();
+        assert!(!semantic.collisions.is_empty());
     }
 
     #[test]
@@ -1107,7 +1065,6 @@ mod tests {
                 trace: Some(TraceCtx::new(Arc::clone(tracer))),
                 ..CheckOptions::default()
             },
-            ..Pipeline::new()
         };
 
         let tracer = Arc::new(Tracer::zeroed());
@@ -1232,7 +1189,6 @@ mod tests {
                 progress: Some(sink.clone()),
                 ..CheckOptions::default()
             },
-            ..Pipeline::new()
         };
         let err = pipeline.run(&input).unwrap_err();
         assert!(err.to_string().contains("resource allocation rejected"));

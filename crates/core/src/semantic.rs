@@ -33,6 +33,12 @@ use crate::sweep;
 /// Bit width used for address terms (64-bit addresses + 1 carry bit).
 pub const ADDR_BITS: u32 = 65;
 
+/// `compatible` strings identifying *virtual* devices. Their regions
+/// live in guest RAM by design (shared-memory IPC, Listing 6), so they
+/// are exempt from physical-overlap checking and only checked against
+/// each other.
+const VIRTUAL_COMPATIBLES: [&str; 2] = ["veth", "shmem"];
+
 /// Identifies one region in the input for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionRef {
@@ -118,15 +124,6 @@ impl SemanticReport {
 /// assuming its guard (the paper's incremental use of Z3, generalized).
 #[derive(Debug)]
 pub struct SemanticChecker {
-    /// Also check `interrupts` properties for duplicate lines across
-    /// devices (on by default; the paper's conclusions name interrupts
-    /// as the second semantic property family).
-    pub check_interrupts: bool,
-    /// `compatible` strings identifying *virtual* devices. Their
-    /// regions live in guest RAM by design (shared-memory IPC, Listing
-    /// 6), so they are exempt from physical-overlap checking and only
-    /// checked against each other.
-    pub virtual_compatibles: Vec<String>,
     /// When set, every SMT solve the checker performs records a
     /// `"solve"` span under this context with its solver-counter delta.
     trace: Option<TraceCtx>,
@@ -156,8 +153,6 @@ impl SemanticChecker {
     /// under it.
     pub fn with_options(opts: &CheckOptions) -> SemanticChecker {
         SemanticChecker {
-            check_interrupts: true,
-            virtual_compatibles: vec!["veth".to_string(), "shmem".to_string()],
             trace: opts.trace.clone(),
             session: SolverSession::with_options(&CheckOptions {
                 trace: None,
@@ -194,7 +189,10 @@ impl SemanticChecker {
     }
 
     /// Checks a whole tree: decodes every `reg` under its parent's cell
-    /// counts and verifies pairwise disjointness.
+    /// counts and verifies pairwise disjointness, and checks
+    /// `interrupts` properties for lines claimed by two devices of one
+    /// interrupt domain (the paper's conclusions name interrupts as the
+    /// second semantic property family).
     ///
     /// # Errors
     ///
@@ -242,11 +240,7 @@ impl SemanticChecker {
     ) -> Result<(SemanticReport, RegionCheckStats), DtsError> {
         let refs = self.collect_refs_with(tree, translated)?;
         let (collisions, stats) = self.check_regions_with_stats(&refs);
-        let interrupt_conflicts = if self.check_interrupts {
-            interrupt_conflicts(tree)
-        } else {
-            Vec::new()
-        };
+        let interrupt_conflicts = interrupt_conflicts(tree);
         let wrapping = refs.iter().filter(|r| r.region.wraps()).cloned().collect();
         Ok((
             SemanticReport {
@@ -262,8 +256,8 @@ impl SemanticChecker {
     /// Decodes every `reg` in the tree into [`RegionRef`]s ready for
     /// checking: zero-sized entries are dropped (e.g. CPU unit
     /// addresses under `#size-cells = 0` occupy no address space) and
-    /// virtual devices are flagged per
-    /// [`virtual_compatibles`](SemanticChecker::virtual_compatibles).
+    /// devices whose `compatible` is `veth` or `shmem` are flagged
+    /// virtual.
     ///
     /// # Errors
     ///
@@ -287,7 +281,7 @@ impl SemanticChecker {
             let virtual_device = tree
                 .find_path(&d.path)
                 .and_then(|n| n.prop_str("compatible"))
-                .is_some_and(|c| self.virtual_compatibles.iter().any(|v| v == c));
+                .is_some_and(|c| VIRTUAL_COMPATIBLES.contains(&c));
             for (i, r) in d.regions.iter().enumerate() {
                 if r.size == 0 {
                     continue;
@@ -329,7 +323,7 @@ impl SemanticChecker {
     /// The unpruned quadratic encoding: one guarded disjointness
     /// constraint per region pair, exactly as formula (7) is stated.
     /// Kept as the semantic reference the sweep-prefiltered path is
-    /// cross-checked against (and for ablation measurements).
+    /// cross-checked against (`prop_semantic`, `sweep_scale`).
     pub fn check_regions_exhaustive(&mut self, refs: &[RegionRef]) -> Vec<Collision> {
         self.check_regions_exhaustive_with_stats(refs).0
     }
@@ -578,15 +572,7 @@ impl RegionCheckStats {
         self.terms += other.terms;
         self.terms_encoded += other.terms_encoded;
         self.terms_reused += other.terms_reused;
-        self.solver.solves += other.solver.solves;
-        self.solver.decisions += other.solver.decisions;
-        self.solver.propagations += other.solver.propagations;
-        self.solver.conflicts += other.solver.conflicts;
-        self.solver.restarts += other.solver.restarts;
-        self.solver.reductions += other.solver.reductions;
-        self.solver.minimised_lits += other.solver.minimised_lits;
-        self.solver.clauses.problem += other.solver.clauses.problem;
-        self.solver.clauses.learnt += other.solver.clauses.learnt;
+        self.solver.merge(&other.solver);
     }
 }
 
@@ -933,6 +919,26 @@ mod tests {
     }
 
     #[test]
+    fn region_stats_merge_keeps_every_solver_counter() {
+        let one = RegionCheckStats {
+            regions: 2,
+            solver: SolverStats {
+                solves: 1,
+                vivified: 3,
+                proof_steps: 5,
+                ..SolverStats::default()
+            },
+            ..RegionCheckStats::default()
+        };
+        let mut total = one;
+        total.merge(&one);
+        assert_eq!(total.regions, 4);
+        assert_eq!(total.solver.solves, 2);
+        assert_eq!(total.solver.vivified, 6);
+        assert_eq!(total.solver.proof_steps, 10);
+    }
+
+    #[test]
     fn running_example_without_mistake_is_ok() {
         let t = parse(
             r#"/ {
@@ -1212,11 +1218,6 @@ mod tests {
         assert_eq!(r.interrupt_conflicts.len(), 1);
         assert_eq!(r.interrupt_conflicts[0].0, 7);
         assert_eq!(r.interrupt_conflicts[0].1.len(), 2);
-        // Ablation: the memory-only checker ignores it.
-        let mut overlap_only = SemanticChecker::new();
-        overlap_only.check_interrupts = false;
-        let r2 = overlap_only.check_tree(&t).unwrap();
-        assert!(r2.is_ok());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub const DEFAULT_ADDRESS_CELLS: u32 = 2;
 pub const DEFAULT_SIZE_CELLS: u32 = 1;
 /// Largest supported `#address-cells`/`#size-cells`. Cells are 32 bits
 /// and addresses fit in `u128`, so four cells is the ceiling; anything
-/// larger would silently truncate in [`take_cells`] — exactly the value
+/// larger would silently truncate in `take_cells` — exactly the value
 /// loss this checker exists to catch, so it is an error instead.
 pub const MAX_CELLS: u32 = 4;
 
@@ -92,7 +92,7 @@ pub fn cell_counts(parent: &Node) -> (u32, u32) {
 
 /// Like [`cell_counts`], but rejects declarations outside `0..=MAX_CELLS`
 /// with an error naming the declaring node. `#address-cells = <5>` would
-/// make [`take_cells`] drop high bits; `#address-cells = <0xffffffff>`
+/// make `take_cells` drop high bits; `#address-cells = <0xffffffff>`
 /// would overflow the `address_cells + size_cells` stride arithmetic.
 ///
 /// # Errors

@@ -161,15 +161,6 @@ impl Analyzer {
         self.count_products_budgeted(1 << 20).models as usize
     }
 
-    /// Counts valid products by walking the incremental solver's model
-    /// space directly, with no budget and no decomposition.
-    #[deprecated(note = "duplicated the All-SAT enumeration; use `count_products` \
-                or `count_products_budgeted`")]
-    pub fn count_products_unbudgeted(&mut self) -> usize {
-        let over: Vec<TermId> = self.ordered.iter().map(|id| self.vars[id]).collect();
-        self.ctx.count_models(&over)
-    }
-
     /// Exports the model's propositional encoding (with the root
     /// asserted) as a CNF plus the product projection: one positive
     /// literal per feature, in [`FeatureModel::ids`] order.
@@ -482,19 +473,6 @@ pub(crate) mod tests {
         assert_eq!(c.models, 12);
         // The exported CNF agrees with the incremental context.
         assert_eq!(an.count_products(), 12);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_unbudgeted_walk_agrees_with_budgeted_count() {
-        let fm = custom_sbc();
-        let mut an = Analyzer::new(&fm);
-        // Cross-check that retiring the redundant walk changed the
-        // route, not the answer: the old direct model-space walk and
-        // the budgeted All-SAT path must agree exactly.
-        assert_eq!(an.count_products_unbudgeted(), 12);
-        assert_eq!(an.count_products(), 12);
-        assert_eq!(an.products().len(), 12);
     }
 
     #[test]

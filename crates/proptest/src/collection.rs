@@ -38,7 +38,7 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -18,27 +18,25 @@ pub enum SolveResult {
     Unsat,
 }
 
+/// Multiplicative decay applied to variable activities per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to clause activities per conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Growth applied to the learnt-clause limit at each reduction.
+const LEARNT_SIZE_INC: f64 = 1.1;
+
 /// Tuning knobs for the solver.
 ///
 /// The defaults follow MiniSat-era folklore and are adequate for every
-/// workload in this repository; they are exposed so the benchmark harness
-/// can ablate restart and reduction policies.
+/// workload in this repository; the in-processing and restart-policy
+/// switches are exposed so `llhsc-bench ablate` can show that none of
+/// them changes a verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities per conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities per conflict.
-    pub clause_decay: f64,
     /// Base interval (in conflicts) of the Luby restart sequence.
     pub restart_base: u64,
     /// Initial learnt-clause limit as a fraction of problem clauses.
     pub learnt_size_factor: f64,
-    /// Growth applied to the learnt-clause limit at each reduction.
-    pub learnt_size_inc: f64,
-    /// Disable restarts entirely (ablation).
-    pub disable_restarts: bool,
-    /// Disable learnt-clause minimisation (ablation).
-    pub disable_minimisation: bool,
     /// Chronological backtracking: when conflict analysis asks to jump
     /// more than [`SolverConfig::chrono_threshold`] levels back, retreat a
     /// single level instead and assert the learnt clause there, keeping
@@ -69,13 +67,8 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
             restart_base: 100,
             learnt_size_factor: 1.0 / 3.0,
-            learnt_size_inc: 1.1,
-            disable_restarts: false,
-            disable_minimisation: false,
             chrono_backtrack: true,
             chrono_threshold: 100,
             vivify: true,
@@ -715,7 +708,7 @@ impl Solver {
     }
 
     fn var_decay(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn clause_bump(&mut self, cref: ClauseRef) {
@@ -729,7 +722,7 @@ impl Solver {
     }
 
     fn clause_decay(&mut self) {
-        self.clause_inc /= self.config.clause_decay;
+        self.clause_inc /= CLAUSE_DECAY;
     }
 
     // ----- search -----
@@ -821,17 +814,15 @@ impl Solver {
         self.clause_buf = buf;
 
         // Clause minimisation: drop literals implied by the rest.
-        if !self.config.disable_minimisation {
-            let before = learnt.len();
-            let keep: Vec<Lit> = learnt[1..]
-                .iter()
-                .copied()
-                .filter(|&l| !self.lit_redundant(l, &learnt))
-                .collect();
-            learnt.truncate(1);
-            learnt.extend(keep);
-            self.stats.minimised_lits += (before - learnt.len()) as u64;
-        }
+        let before = learnt.len();
+        let keep: Vec<Lit> = learnt[1..]
+            .iter()
+            .copied()
+            .filter(|&l| !self.lit_redundant(l, &learnt))
+            .collect();
+        learnt.truncate(1);
+        learnt.extend(keep);
+        self.stats.minimised_lits += (before - learnt.len()) as u64;
 
         // Clear seen flags for all clause literals.
         for &l in &learnt {
@@ -1278,9 +1269,9 @@ impl Solver {
             } else {
                 if self.db.num_learnt() as f64 >= max_learnt + self.trail.len() as f64 {
                     self.reduce_db();
-                    max_learnt *= self.config.learnt_size_inc;
+                    max_learnt *= LEARNT_SIZE_INC;
                 }
-                if conflicts_left == 0 && !self.config.disable_restarts {
+                if conflicts_left == 0 {
                     self.stats.restarts += 1;
                     restarts += 1;
                     if self.config.stable_restarts && phase_conflicts >= phase_limit {

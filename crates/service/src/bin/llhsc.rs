@@ -991,12 +991,9 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
     }
     let result = (|| -> Result<llhsc::PipelineOutput, BuildFailure> {
         let input = load_build_input(dir, true).map_err(BuildFailure::Input)?;
-        Pipeline {
-            options,
-            ..Pipeline::new()
-        }
-        .run(&input)
-        .map_err(|e| BuildFailure::Rejected(e.to_string()))
+        Pipeline { options }
+            .run(&input)
+            .map_err(|e| BuildFailure::Rejected(e.to_string()))
     })();
 
     if let Some(sink) = sink {
@@ -1376,7 +1373,6 @@ fn cmd_demo(mut args: Vec<String>, stats: bool) -> ExitCode {
             trace: sink.as_ref().map(TraceSink::ctx),
             ..CheckOptions::default()
         },
-        ..Pipeline::new()
     }
     .run(&input);
     if let Some(sink) = sink {

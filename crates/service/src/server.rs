@@ -647,7 +647,6 @@ fn respond(
                     let tracer = Arc::new(Tracer::zeroed());
                     let pipeline = Pipeline {
                         options: request_options(&tracer, &progress),
-                        ..Pipeline::new()
                     };
                     let frame = match pipeline.run_cached(&input, Some(&state.cache)) {
                         Ok(out) => {

@@ -104,7 +104,10 @@ impl SessionStats {
 }
 
 /// One persistent solving context shared by many assumption-guarded
-/// checks. See the [module docs](self) for the protocol.
+/// checks. Each group of constraints is asserted once as a *slice*
+/// guarded by its own activation literal; a check binds exactly the
+/// slices whose guards it assumes, so retracting a slice is simply not
+/// assuming its guard, and the solver keeps what it learnt about it.
 #[derive(Debug, Default)]
 pub struct SolverSession {
     ctx: Context,

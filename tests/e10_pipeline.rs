@@ -3,7 +3,9 @@
 //! files, including failure paths with delta provenance.
 
 use llhsc::running_example;
-use llhsc::{Pipeline, Severity, Stage, VmSpec};
+use llhsc::{Pipeline, PipelineInput, Severity, Stage, VmSpec};
+use llhsc_delta::{DerivedProduct, ProductLine};
+use llhsc_schema::SyntacticChecker;
 
 #[test]
 fn happy_path_produces_all_artifacts() {
@@ -118,27 +120,46 @@ fn vm_without_veth_keeps_64bit_layout() {
 
 #[test]
 fn ablation_matrix() {
-    // Full pipeline rejects the d4-less input; dt-schema mode (skip
-    // semantic) accepts it; dtc mode (skip both) accepts it too. This
-    // is the paper's comparison table in miniature.
+    // The paper's comparison table in miniature, on the d4-less input:
+    // llhsc rejects it, while the dt-schema baseline (the structural
+    // rules alone) and the dtc baseline (derivation and printing alone)
+    // accept every product.
     let mut input = running_example::pipeline_input();
     input.deltas.retain(|d| d.name != "d4");
 
-    let full = Pipeline::new();
-    assert!(full.run(&input).is_err());
+    let err = Pipeline::new().run(&input).unwrap_err();
+    assert!(err.diagnostics.iter().any(|d| d.stage == Stage::Semantic));
 
-    let dt_schema_mode = Pipeline {
-        skip_semantic: true,
-        ..Pipeline::new()
-    };
-    assert!(dt_schema_mode.run(&input).is_ok());
+    for product in derived_products(&input) {
+        let report = SyntacticChecker::new(&product.tree, &input.schemas).check();
+        assert!(
+            report.violations.is_empty(),
+            "dt-schema mode must not catch the truncation: {:?}",
+            report.violations
+        );
+        let printed = llhsc_dts::print(&product.tree);
+        assert!(
+            llhsc_dts::parse(&printed).is_ok(),
+            "dtc mode prints {printed}"
+        );
+    }
+}
 
-    let dtc_mode = Pipeline {
-        skip_semantic: true,
-        skip_syntactic: true,
-        ..Pipeline::new()
-    };
-    assert!(dtc_mode.run(&input).is_ok());
+/// Every VM product of `input` and the platform product (the union of
+/// the VM selections), derived without the checking stages.
+fn derived_products(input: &PipelineInput) -> Vec<DerivedProduct> {
+    let line = ProductLine::new(input.core.clone(), input.deltas.clone());
+    let mut platform: Vec<&str> = Vec::new();
+    let mut products = Vec::new();
+    for vm in &input.vms {
+        let names: Vec<&str> = vm.features.iter().map(String::as_str).collect();
+        products.push(line.derive(&names).expect("VM product derives"));
+        platform.extend(names);
+    }
+    platform.sort_unstable();
+    platform.dedup();
+    products.push(line.derive(&platform).expect("platform product derives"));
+    products
 }
 
 #[test]
