@@ -68,6 +68,37 @@ cmp "$SMOKE_DIR/local.err" "$SMOKE_DIR/remote.err"
 grep -q '^llhsc_requests_total{op="check"} 1$' "$SMOKE_DIR/metrics.prom"
 grep -q '^# TYPE llhsc_request_duration_us histogram$' "$SMOKE_DIR/metrics.prom"
 grep -q '^llhsc_cache_misses_total{class="tree_check"} 1$' "$SMOKE_DIR/metrics.prom"
+grep -q '^# TYPE llhsc_cache_evictions_total counter$' "$SMOKE_DIR/metrics.prom"
+
+# Framing smoke: every response leaves in one write on a TCP_NODELAY
+# socket, so pings on one connection come back at once instead of each
+# waiting ~40 ms on a delayed ACK; and every cache class in `stats`
+# reports its evictions.
+python3 - "$ADDR" <<'EOF'
+import json, socket, statistics, sys, time
+
+host, port = sys.argv[1].rsplit(":", 1)
+conn = socket.create_connection((host, int(port)))
+conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+responses = conn.makefile("rb")
+
+def call(op):
+    conn.sendall(json.dumps({"op": op}).encode() + b"\n")
+    return json.loads(responses.readline())
+
+rtts = []
+for _ in range(50):
+    started = time.perf_counter()
+    assert call("ping")["ok"] is True
+    rtts.append((time.perf_counter() - started) * 1000)
+median = statistics.median(rtts)
+assert median < 5, f"median ping round trip {median:.1f} ms"
+
+cache = call("stats")["cache"]
+for name, counters in cache.items():
+    assert type(counters["evictions"]) is int, (name, counters)
+print(f"framing ok: median ping {median:.2f} ms, {len(cache)} cache classes")
+EOF
 
 "$LLHSC" client --addr "$ADDR" shutdown
 wait "$SERVE_PID"

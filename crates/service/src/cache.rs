@@ -1,12 +1,23 @@
 //! The daemon's shared in-memory result cache and service counters.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use llhsc::{CacheClass, CacheEntry, PipelineCache, RegionCheckStats, SessionStats, SolverStats};
 
+use crate::analytics::AnalyticsOutcome;
 use crate::check::CheckReport;
+
+/// Whole answers kept per class (`tree_check`, `analytics`). A report
+/// of a 145-device board with overlap findings serializes, span tree
+/// included, to about 2 KB.
+const ANSWER_CAPACITY: usize = 64;
+
+/// Pipeline stage entries kept across `allocation`, `product_check`,
+/// `coverage` and `family`.
+const STAGE_CAPACITY: usize = 256;
 
 /// A cached whole-tree `check` outcome: the rendered report plus the
 /// cost counters of the original fresh run. Replayed on every hit, so a
@@ -27,49 +38,132 @@ pub struct CachedTreeCheck {
     pub spans: Vec<llhsc_obs::SpanRecord>,
 }
 
-/// Hit/miss counters for one cache class.
+/// A map of at most `capacity` entries that evicts the least recently
+/// used one. Every entry carries a recency stamp that a `get` refreshes;
+/// an insert at capacity removes the entry with the oldest stamp by an
+/// O(capacity) scan, which is noise next to the solver work an entry
+/// stands for.
+#[derive(Debug)]
+struct Lru<K, V> {
+    capacity: usize,
+    clock: u64,
+    entries: HashMap<K, (u64, V)>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Lru<K, V> {
+        Lru {
+            capacity,
+            clock: 0,
+            entries: HashMap::with_capacity(capacity),
+        }
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn get(&mut self, key: &K) -> Option<V> {
+        let now = self.tick();
+        let (stamp, value) = self.entries.get_mut(key)?;
+        *stamp = now;
+        Some(value.clone())
+    }
+
+    /// Stores `value` under `key`; returns the key evicted to make room.
+    fn insert(&mut self, key: K, value: V) -> Option<K> {
+        let now = self.tick();
+        let mut evicted = None;
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            evicted = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = &evicted {
+                self.entries.remove(k);
+            }
+        }
+        self.entries.insert(key, (now, value));
+        evicted
+    }
+}
+
+/// Hit, miss and eviction counters for one cache class.
 #[derive(Debug, Default)]
 pub struct ClassCounters {
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl ClassCounters {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    fn lookup(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+    fn evicted(&self) {
+        self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(hits, misses)` so far.
-    pub fn snapshot(&self) -> (u64, u64) {
+    /// `(hits, misses, evictions)` so far.
+    pub fn snapshot(&self) -> (u64, u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
         )
     }
 }
 
+/// Locks a cache store. Every update leaves a store valid at each step
+/// (one removal, one insert, one stamp), so the poison of a worker that
+/// panicked while holding the lock is ignored.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The content-addressed store shared by every worker: pipeline stage
-/// results (behind [`PipelineCache`]) plus whole-tree `check` verdicts,
-/// with per-class hit/miss counters surfaced by the `stats` op.
+/// results (behind [`PipelineCache`]) plus whole-tree `check` verdicts
+/// and analytics answers, with per-class hit/miss/eviction counters
+/// surfaced by the `stats` op.
 ///
-/// Entries are never evicted — the daemon serves configuration
-/// checking, where the working set is the project being edited, not an
-/// unbounded stream. Restart the daemon to drop the cache.
-#[derive(Debug, Default)]
+/// Memory is bounded: each store is a least-recently-used map of fixed
+/// capacity — 64 whole answers each for `check` and analytics, 256
+/// stage entries shared by the four pipeline classes — so a daemon
+/// serving a stream of distinct boards holds a flat resident set
+/// instead of one that grows with the request count. An edit loop keeps
+/// re-reading the project being edited, so those entries stay resident
+/// while one-off requests cycle through the rest.
+#[derive(Debug)]
 pub struct ServiceCache {
-    entries: Mutex<HashMap<(CacheClass, u64), CacheEntry>>,
-    trees: Mutex<HashMap<u64, CachedTreeCheck>>,
-    analytics: Mutex<HashMap<u64, crate::analytics::AnalyticsOutcome>>,
+    stages: Mutex<Lru<(CacheClass, u64), CacheEntry>>,
+    trees: Mutex<Lru<u64, CachedTreeCheck>>,
+    analytics: Mutex<Lru<u64, AnalyticsOutcome>>,
     allocation: ClassCounters,
     product_check: ClassCounters,
     coverage: ClassCounters,
     tree_check: ClassCounters,
     analytics_counters: ClassCounters,
     family: ClassCounters,
+}
+
+impl Default for ServiceCache {
+    fn default() -> ServiceCache {
+        ServiceCache {
+            stages: Mutex::new(Lru::new(STAGE_CAPACITY)),
+            trees: Mutex::new(Lru::new(ANSWER_CAPACITY)),
+            analytics: Mutex::new(Lru::new(ANSWER_CAPACITY)),
+            allocation: ClassCounters::default(),
+            product_check: ClassCounters::default(),
+            coverage: ClassCounters::default(),
+            tree_check: ClassCounters::default(),
+            analytics_counters: ClassCounters::default(),
+            family: ClassCounters::default(),
+        }
+    }
 }
 
 impl ServiceCache {
@@ -89,49 +183,40 @@ impl ServiceCache {
 
     /// A cached whole-tree `check` result.
     pub fn get_tree(&self, key: u64) -> Option<CachedTreeCheck> {
-        let hit = self.trees.lock().expect("cache lock").get(&key).cloned();
-        match &hit {
-            Some(_) => self.tree_check.hit(),
-            None => self.tree_check.miss(),
-        }
+        let hit = lock(&self.trees).get(&key);
+        self.tree_check.lookup(hit.is_some());
         hit
     }
 
     /// Stores a whole-tree `check` result.
     pub fn put_tree(&self, key: u64, check: CachedTreeCheck) {
-        self.trees.lock().expect("cache lock").insert(key, check);
+        if lock(&self.trees).insert(key, check).is_some() {
+            self.tree_check.evicted();
+        }
     }
 
     /// A cached analytics (`count`/`sample`) answer. Replayed answers
     /// are byte-identical to the fresh run and cost zero solver calls.
-    pub fn get_analytics(&self, key: u64) -> Option<crate::analytics::AnalyticsOutcome> {
-        let hit = self
-            .analytics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .cloned();
-        match &hit {
-            Some(_) => self.analytics_counters.hit(),
-            None => self.analytics_counters.miss(),
-        }
+    pub fn get_analytics(&self, key: u64) -> Option<AnalyticsOutcome> {
+        let hit = lock(&self.analytics).get(&key);
+        self.analytics_counters.lookup(hit.is_some());
         hit
     }
 
     /// Stores an analytics answer.
-    pub fn put_analytics(&self, key: u64, outcome: crate::analytics::AnalyticsOutcome) {
-        self.analytics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, outcome);
+    pub fn put_analytics(&self, key: u64, outcome: AnalyticsOutcome) {
+        if lock(&self.analytics).insert(key, outcome).is_some() {
+            self.analytics_counters.evicted();
+        }
     }
 
-    /// `(class name, hits, misses)` for every class, in a stable order
-    /// (new classes are appended, so positional consumers stay valid).
-    pub fn counters(&self) -> [(&'static str, u64, u64); 6] {
+    /// `(class name, hits, misses, evictions)` for every class, in a
+    /// stable order (new classes are appended, so positional consumers
+    /// stay valid).
+    pub fn counters(&self) -> [(&'static str, u64, u64, u64); 6] {
         let snap = |name, c: &ClassCounters| {
-            let (h, m) = c.snapshot();
-            (name, h, m)
+            let (hits, misses, evictions) = c.snapshot();
+            (name, hits, misses, evictions)
         };
         [
             snap("allocation", &self.allocation),
@@ -146,24 +231,17 @@ impl ServiceCache {
 
 impl PipelineCache for ServiceCache {
     fn get(&self, class: CacheClass, key: u64) -> Option<CacheEntry> {
-        let hit = self
-            .entries
-            .lock()
-            .expect("cache lock")
-            .get(&(class, key))
-            .cloned();
-        match &hit {
-            Some(_) => self.counters_for(class).hit(),
-            None => self.counters_for(class).miss(),
-        }
+        let hit = lock(&self.stages).get(&(class, key));
+        self.counters_for(class).lookup(hit.is_some());
         hit
     }
 
     fn put(&self, class: CacheClass, key: u64, entry: CacheEntry) {
-        self.entries
-            .lock()
-            .expect("cache lock")
-            .insert((class, key), entry);
+        // Stage classes share one store, so an eviction is charged to
+        // the class of the entry that made room, not of the newcomer.
+        if let Some((evicted, _)) = lock(&self.stages).insert((class, key), entry) {
+            self.counters_for(evicted).evicted();
+        }
     }
 }
 
@@ -208,8 +286,8 @@ mod tests {
             CacheEntry::Allocation(Err("nope".into())),
         );
         assert!(cache.get(CacheClass::Allocation, 1).is_some());
-        let [(name, hits, misses), ..] = cache.counters();
-        assert_eq!((name, hits, misses), ("allocation", 1, 1));
+        let [allocation, ..] = cache.counters();
+        assert_eq!(allocation, ("allocation", 1, 1, 0));
     }
 
     #[test]
@@ -239,8 +317,7 @@ mod tests {
         };
         cache.put_analytics(3, outcome.clone());
         assert_eq!(cache.get_analytics(3), Some(outcome));
-        let (name, hits, misses) = cache.counters()[4];
-        assert_eq!((name, hits, misses), ("analytics", 1, 1));
+        assert_eq!(cache.counters()[4], ("analytics", 1, 1, 0));
     }
 
     #[test]
@@ -265,8 +342,7 @@ mod tests {
             cache.get(CacheClass::Family, 5),
             Some(CacheEntry::Family(Ok(report)))
         );
-        let (name, hits, misses) = cache.counters()[5];
-        assert_eq!((name, hits, misses), ("family", 1, 1));
+        assert_eq!(cache.counters()[5], ("family", 1, 1, 0));
     }
 
     #[test]
@@ -287,7 +363,60 @@ mod tests {
         };
         cache.put_tree(9, check.clone());
         assert_eq!(cache.get_tree(9), Some(check));
-        let (_, hits, misses) = cache.counters()[3];
-        assert_eq!((hits, misses), (1, 1));
+        assert_eq!(cache.counters()[3], ("tree_check", 1, 1, 0));
+    }
+
+    fn rejected_allocation() -> CacheEntry {
+        CacheEntry::Allocation(Err("nope".into()))
+    }
+
+    #[test]
+    fn lru_never_exceeds_its_capacity() {
+        let mut lru = Lru::new(4);
+        for key in 0..20u64 {
+            let evicted = lru.insert(key, key);
+            assert!(lru.entries.len() <= 4, "{} entries", lru.entries.len());
+            // Oldest first: the fifth insert evicts the first key.
+            assert_eq!(evicted, key.checked_sub(4));
+        }
+        // Re-inserting a resident key replaces it without evicting.
+        assert_eq!(lru.insert(19, 0), None);
+        assert_eq!(lru.entries.len(), 4);
+    }
+
+    #[test]
+    fn a_hit_survives_the_next_eviction() {
+        let mut lru = Lru::new(3);
+        for key in 0..3u64 {
+            lru.insert(key, key);
+        }
+        assert_eq!(lru.get(&0), Some(0));
+        // 0 was oldest but was just hit, so 1 makes room instead.
+        assert_eq!(lru.insert(3, 3), Some(1));
+        assert_eq!(lru.get(&0), Some(0));
+        assert_eq!(lru.get(&1), None);
+    }
+
+    #[test]
+    fn evictions_are_charged_to_the_evicted_class() {
+        let cache = ServiceCache::new();
+        for key in 0..STAGE_CAPACITY as u64 {
+            cache.put(CacheClass::Allocation, key, rejected_allocation());
+        }
+        // Stage classes share one store: a coverage entry arriving at
+        // capacity evicts the oldest allocation.
+        cache.put(
+            CacheClass::Coverage,
+            0,
+            CacheEntry::Check(CachedCheck {
+                diagnostics: Vec::new(),
+                stats: Default::default(),
+            }),
+        );
+        assert_eq!(cache.counters()[0], ("allocation", 0, 0, 1));
+        assert_eq!(cache.counters()[2], ("coverage", 0, 0, 0));
+        assert!(cache.get(CacheClass::Allocation, 0).is_none());
+        assert!(cache.get(CacheClass::Allocation, 1).is_some());
+        assert!(cache.get(CacheClass::Coverage, 0).is_some());
     }
 }

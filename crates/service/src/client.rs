@@ -12,13 +12,14 @@ use crate::json::Json;
 /// A human-readable message on connect, transport or framing failure
 /// (the caller renders it and exits 2).
 pub fn request_raw(addr: &str, line: &str) -> Result<Json, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
-    writeln!(writer, "{line}").map_err(|e| format!("cannot send request: {e}"))?;
-    writer
-        .flush()
+    let mut stream =
+        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // The line and its `\n` leave in one write, at once: a separate
+    // `\n` write could meet a server that has already answered an
+    // oversized line and half-closed, and fail with a reset.
+    let _ = stream.set_nodelay(true);
+    stream
+        .write_all(format!("{line}\n").as_bytes())
         .map_err(|e| format!("cannot send request: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();

@@ -14,14 +14,14 @@
 //! [`ServerHandle::join`] returns.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use llhsc::family::FamilyStats;
 use llhsc::{CheckOptions, Pipeline, PipelineCache, ProgressSink, SessionStats, SolverStats};
@@ -51,6 +51,14 @@ const DURATION_BOUNDS_US: [u64; 9] = [
     100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400, 6_553_600,
 ];
 
+/// How long each read of the lingering close after an oversized request
+/// waits for more of the client's input.
+const LINGER_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How much of the client's remaining input the lingering close
+/// discards at most.
+const LINGER_MAX_BYTES: u64 = 64 * 1024 * 1024;
+
 /// How the daemon is brought up.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -60,7 +68,8 @@ pub struct ServerConfig {
     /// Worker threads handling connections.
     pub workers: usize,
     /// Hard cap on one request line, in bytes; longer requests are
-    /// answered with an error frame and the connection is closed.
+    /// answered with an error frame and the connection is closed once
+    /// the client stops sending (or after a bounded wait).
     pub max_request_bytes: usize,
     /// Latency (µs) at or above which a request counts as *slow*: its
     /// span tree is dumped to `slow_trace_dir` as a Chrome-trace file,
@@ -296,7 +305,7 @@ enum Line {
     TooLong,
 }
 
-fn read_request_line(reader: &mut BufReader<TcpStream>, max: usize) -> io::Result<Line> {
+fn read_request_line(reader: &mut impl BufRead, max: usize) -> io::Result<Line> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let available = reader.fill_buf()?;
@@ -330,6 +339,26 @@ fn text_or_too_long(line: Vec<u8>, max: usize) -> Line {
     }
 }
 
+/// Sends one response frame, its `\n` included, in a single write. With
+/// `TCP_NODELAY` on, the frame leaves at once; a frame written in pieces
+/// on a Nagle socket waits for the client's delayed ACK (~40 ms) after
+/// the first piece.
+fn send_frame(mut stream: &TcpStream, frame: &Json) -> io::Result<()> {
+    stream.write_all(format!("{frame}\n").as_bytes())
+}
+
+/// Closes a connection whose remaining input is unframed garbage. Closing
+/// a socket with unread input makes the kernel send a reset, which can
+/// destroy the error frame before the client reads it. So half-close
+/// after the frame, then discard what the client still sends (at most
+/// [`LINGER_MAX_BYTES`], each read waiting at most [`LINGER_TIMEOUT`])
+/// before the socket is dropped.
+fn linger_close(stream: &TcpStream, reader: &mut impl Read) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER_TIMEOUT));
+    let _ = io::copy(&mut reader.take(LINGER_MAX_BYTES), &mut io::sink());
+}
+
 fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: usize) {
     state.stats.in_flight.fetch_add(1, Ordering::Relaxed);
     let in_flight = state.metrics.gauge(
@@ -338,108 +367,106 @@ fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: 
         &[],
     );
     in_flight.inc();
-    let write_side = stream.try_clone();
-    let mut reader = BufReader::new(stream);
-    if let Ok(mut writer) = write_side {
-        loop {
-            let line = match read_request_line(&mut reader, max_request_bytes) {
-                Ok(Line::Text(l)) => l,
-                Ok(Line::Eof) => break,
-                Ok(Line::TooLong) => {
-                    state.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    state
-                        .metrics
-                        .counter(
-                            "llhsc_requests_total",
-                            "Requests handled.",
-                            &[("op", "oversized")],
-                        )
-                        .inc();
-                    let trace_id = state.next_trace_id();
-                    state.logger.warn(&format!(
-                        "{trace_id} request exceeds max request size ({max_request_bytes} bytes)"
-                    ));
-                    let mut frame = error_frame(format!(
-                        "request exceeds max request size ({max_request_bytes} bytes)"
-                    ));
-                    if let Json::Obj(map) = &mut frame {
-                        map.insert("trace_id".to_string(), Json::Str(trace_id));
-                    }
-                    let _ = writeln!(writer, "{frame}");
-                    break; // the rest of the stream is unframed garbage
-                }
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            state.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let trace_id = state.next_trace_id();
-            let started = Instant::now();
-            let (mut response, op, spans) = respond(state, &line, &trace_id);
-            let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            let failed = response.get("ok").and_then(Json::as_bool) == Some(false);
-            if failed {
+    // Every frame is whole (`send_frame`): holding it back for a
+    // coalescing ACK only adds latency.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(&stream);
+    loop {
+        let line = match read_request_line(&mut reader, max_request_bytes) {
+            Ok(Line::Text(l)) => l,
+            Ok(Line::Eof) => break,
+            Ok(Line::TooLong) => {
+                state.stats.requests.fetch_add(1, Ordering::Relaxed);
                 state.stats.errors.fetch_add(1, Ordering::Relaxed);
                 state
                     .metrics
                     .counter(
-                        "llhsc_request_errors_total",
-                        "Requests answered with an error frame.",
-                        &[],
+                        "llhsc_requests_total",
+                        "Requests handled.",
+                        &[("op", "oversized")],
                     )
                     .inc();
+                let trace_id = state.next_trace_id();
+                state.logger.warn(&format!(
+                    "{trace_id} request exceeds max request size ({max_request_bytes} bytes)"
+                ));
+                let mut frame = error_frame(format!(
+                    "request exceeds max request size ({max_request_bytes} bytes)"
+                ));
+                if let Json::Obj(map) = &mut frame {
+                    map.insert("trace_id".to_string(), Json::Str(trace_id));
+                }
+                let _ = send_frame(&stream, &frame);
+                linger_close(&stream, &mut reader);
+                break; // the rest of the stream is unframed garbage
             }
+            Err(_) => break,
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        state.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let trace_id = state.next_trace_id();
+        let started = Instant::now();
+        let (mut response, op, spans) = respond(state, &line, &trace_id);
+        let elapsed_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let failed = response.get("ok").and_then(Json::as_bool) == Some(false);
+        if failed {
+            state.stats.errors.fetch_add(1, Ordering::Relaxed);
             state
                 .metrics
-                .counter("llhsc_requests_total", "Requests handled.", &[("op", op)])
+                .counter(
+                    "llhsc_request_errors_total",
+                    "Requests answered with an error frame.",
+                    &[],
+                )
                 .inc();
-            let latency = state.metrics.histogram(
-                "llhsc_request_duration_us",
-                "Request handling latency in microseconds.",
-                &[("op", op)],
-                &DURATION_BOUNDS_US,
-            );
-            let slow = elapsed_us >= state.slow_request_us;
-            if slow {
-                // The exemplar ties the offending bucket to this
-                // request's trace ID, which also names the dump file.
-                latency.observe_exemplar(elapsed_us, &trace_id);
-                dump_slow_trace(state, &trace_id, op, elapsed_us, spans.as_deref());
-            } else {
-                latency.observe(elapsed_us);
-            }
-            state.flight.record(FlightRecord {
-                seq: 0,
-                trace_id: trace_id.clone(),
-                op: op.to_string(),
-                dur_us: elapsed_us,
-                slow,
-                error: failed,
-            });
-            if let Json::Obj(map) = &mut response {
-                map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
-            }
-            if failed {
-                let error = response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error");
-                state.logger.warn(&format!(
-                    "{trace_id} {op} failed in {elapsed_us}us: {error}"
-                ));
-            } else {
-                state
-                    .logger
-                    .debug(&format!("{trace_id} {op} ok in {elapsed_us}us"));
-            }
-            if writeln!(writer, "{response}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                break;
-            }
+        }
+        state
+            .metrics
+            .counter("llhsc_requests_total", "Requests handled.", &[("op", op)])
+            .inc();
+        let latency = state.metrics.histogram(
+            "llhsc_request_duration_us",
+            "Request handling latency in microseconds.",
+            &[("op", op)],
+            &DURATION_BOUNDS_US,
+        );
+        let slow = elapsed_us >= state.slow_request_us;
+        if slow {
+            // The exemplar ties the offending bucket to this
+            // request's trace ID, which also names the dump file.
+            latency.observe_exemplar(elapsed_us, &trace_id);
+            dump_slow_trace(state, &trace_id, op, elapsed_us, spans.as_deref());
+        } else {
+            latency.observe(elapsed_us);
+        }
+        state.flight.record(FlightRecord {
+            seq: 0,
+            trace_id: trace_id.clone(),
+            op: op.to_string(),
+            dur_us: elapsed_us,
+            slow,
+            error: failed,
+        });
+        if let Json::Obj(map) = &mut response {
+            map.insert("trace_id".to_string(), Json::Str(trace_id.clone()));
+        }
+        if failed {
+            let error = response
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown error");
+            state.logger.warn(&format!(
+                "{trace_id} {op} failed in {elapsed_us}us: {error}"
+            ));
+        } else {
+            state
+                .logger
+                .debug(&format!("{trace_id} {op} ok in {elapsed_us}us"));
+        }
+        if send_frame(&stream, &response).is_err() {
+            break;
         }
     }
     state.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -729,10 +756,14 @@ fn stats_frame(state: &ServiceState) -> Json {
             .cache
             .counters()
             .into_iter()
-            .map(|(name, hits, misses)| {
+            .map(|(name, hits, misses, evictions)| {
                 (
                     name.to_string(),
-                    Json::obj([("hits", hits.into()), ("misses", misses.into())]),
+                    Json::obj([
+                        ("hits", hits.into()),
+                        ("misses", misses.into()),
+                        ("evictions", evictions.into()),
+                    ]),
                 )
             })
             .collect(),
@@ -787,9 +818,9 @@ fn stats_frame(state: &ServiceState) -> Json {
 /// Renders the Prometheus exposition: event-site series (per-op request
 /// counts, latency histograms, error count) live in the registry
 /// already; monotone counters kept elsewhere (connections, queue waits,
-/// cache hit/miss per class, accumulated solver work) are synced in via
-/// `record_max` at scrape time, which is exact for counters that only
-/// grow.
+/// cache hits/misses/evictions per class, accumulated solver work) are
+/// synced in via `record_max` at scrape time, which is exact for
+/// counters that only grow.
 fn metrics_text(state: &ServiceState) -> String {
     let m = &state.metrics;
     let s = &state.stats;
@@ -821,7 +852,7 @@ fn metrics_text(state: &ServiceState) -> String {
         &[],
     )
     .record_max(s.queue_wait_us_max.load(Ordering::Relaxed));
-    for (class, hits, misses) in state.cache.counters() {
+    for (class, hits, misses, evictions) in state.cache.counters() {
         m.counter(
             "llhsc_cache_hits_total",
             "Cache hits per class.",
@@ -834,6 +865,12 @@ fn metrics_text(state: &ServiceState) -> String {
             &[("class", class)],
         )
         .record_max(misses);
+        m.counter(
+            "llhsc_cache_evictions_total",
+            "Cache entries evicted per class, least recently used first.",
+            &[("class", class)],
+        )
+        .record_max(evictions);
     }
     let (solver, session, family) = *state.totals();
     let sync = |name: &str, help: &str, value: u64| {
@@ -1228,6 +1265,60 @@ mod tests {
             .and_then(Json::as_str)
             .is_some_and(|e| e.contains("max request size")));
 
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn a_request_far_past_the_limit_still_gets_its_error_frame() {
+        let handle = start(&ServerConfig {
+            max_request_bytes: 64,
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let addr = handle.local_addr().to_string();
+
+        // 4 MB is far more than the socket buffers hold, so the client
+        // is still sending when the server answers; the lingering close
+        // keeps that from turning into a connection reset.
+        let huge = format!(r#"{{"op":"check","dts":"{}"}}"#, "x".repeat(4 << 20));
+        let too_big = client::request_raw(&addr, &huge).expect("error frame, not a reset");
+        assert_eq!(too_big.get("ok"), Some(&Json::Bool(false)));
+        assert!(too_big
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("max request size")));
+
+        // The daemon is unharmed.
+        let pong = client::request(&addr, &Json::obj([("op", "ping".into())])).unwrap();
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+        handle.shutdown();
+        handle.join();
+    }
+
+    #[test]
+    fn pings_on_one_connection_do_not_wait_for_delayed_acks() {
+        let handle = start(&ServerConfig::default()).expect("server starts");
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let started = Instant::now();
+        for _ in 0..20 {
+            (&stream).write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            let pong = Json::parse(response.trim_end()).unwrap();
+            assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+        }
+        // A frame written in pieces on a Nagle socket waits ~40 ms for
+        // the client's delayed ACK, so 20 such round trips take ~800 ms.
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "20 pings took {elapsed:?}"
+        );
+        drop(reader);
+        drop(stream);
         handle.shutdown();
         handle.join();
     }

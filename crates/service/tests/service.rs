@@ -455,3 +455,41 @@ fn frontend_parse_failures_are_error_frames() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn the_tree_cache_evicts_its_least_recently_used_board() {
+    let (handle, addr) = start();
+    // 65 distinct boards: one more than the tree cache holds.
+    let board = |i: u64| {
+        format!(
+            "/ {{ #address-cells = <1>; #size-cells = <1>;\n\
+             \x20   memory@{0:x} {{ device_type = \"memory\"; reg = <0x{0:x} 0x1000>; }}; }};",
+            0x1000 * (i + 1)
+        )
+    };
+    for i in 0..65 {
+        let fresh = client::request_ok(&addr, &check_json(&board(i))).expect("check");
+        assert_eq!(fresh.get("cached"), Some(&Json::Bool(false)), "board {i}");
+    }
+    let stats = stats_of(&addr);
+    let evictions = |stats: &Json| {
+        stats
+            .get("cache")
+            .and_then(|c| c.get("tree_check"))
+            .and_then(|c| c.get("evictions"))
+            .and_then(Json::as_int)
+            .expect("evictions")
+    };
+    assert_eq!(cache_counters(&stats, "tree_check"), (0, 65));
+    assert_eq!(evictions(&stats), 1);
+
+    let last = client::request_ok(&addr, &check_json(&board(64))).expect("re-check");
+    assert_eq!(last.get("cached"), Some(&Json::Bool(true)));
+    let first = client::request_ok(&addr, &check_json(&board(0))).expect("re-check");
+    assert_eq!(first.get("cached"), Some(&Json::Bool(false)));
+    let stats = stats_of(&addr);
+    assert_eq!(cache_counters(&stats, "tree_check"), (1, 66));
+    assert_eq!(evictions(&stats), 2);
+    handle.shutdown();
+    handle.join();
+}
