@@ -443,6 +443,55 @@ EOF
 wait "$SERVE3_PID"
 SERVE3_PID=""
 
+# Scaling smoke: checking a board takes time linear in its size. Boards
+# of 1 500 and 6 000 devices under the root node, one line per device as
+# the benchmark's board_check workload writes them, are each checked
+# three times. Every run must exit 0 and end `: ok`, and the median time
+# of the larger board must stay under 8 times that of the smaller: 4
+# times the devices, where a pass quadratic in the board reads about 16.
+python3 - "$LLHSC" "$SMOKE_DIR" <<'EOF'
+import statistics, subprocess, sys, time
+
+llhsc, d = sys.argv[1], sys.argv[2]
+
+def board(n):
+    lines = [
+        "/dts-v1/;", "/ {", "\t#address-cells = <1>;", "\t#size-cells = <1>;",
+        "\tmemory@80000000 { device_type = \"memory\"; reg = <0x80000000 0x40000000>; };",
+        "\tcpus {", "\t\t#address-cells = <1>;", "\t\t#size-cells = <0>;",
+    ]
+    for cpu in range(2):
+        lines.append(f"\t\tcpu@{cpu} {{ compatible = \"arm,cortex-a53\"; device_type = \"cpu\"; "
+                     f"enable-method = \"psci\"; reg = <{cpu:#x}>; }};")
+    lines.append("\t};")
+    for i in range(n):
+        kind = ("dev", "timer", "gpio", "dma")[i % 4]
+        base = 0x10000000 + 2 * i * 0x1000
+        lines.append(f"\t{kind}{i}@{base:x} {{ compatible = \"acme,{kind}\"; "
+                     f"reg = <{base:#x} 0x1000>; interrupts = <{32 + i}>; }};")
+    lines.append("};")
+    path = f"{d}/scale{n}.dts"
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return path
+
+medians = {}
+for n in (1500, 6000):
+    path = board(n)
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        run = subprocess.run([llhsc, "check", path], capture_output=True, text=True)
+        times.append(time.perf_counter() - started)
+        assert run.returncode == 0, (n, run.returncode, run.stderr)
+        assert run.stdout.rstrip().endswith(": ok"), (n, run.stdout)
+    medians[n] = statistics.median(times) * 1000
+ratio = medians[6000] / medians[1500]
+assert ratio < 8, f"6000-device check {ratio:.1f}x the 1500-device one: {medians}"
+print(f"scaling ok: {medians[1500]:.1f} ms at 1500 devices, "
+      f"{medians[6000]:.1f} ms at 6000 ({ratio:.1f}x)")
+EOF
+
 # Progress determinism: on the zero clock, two `--progress` runs of the
 # same input must emit byte-identical stderr (the heartbeat cadence is
 # conflict-count based, the rate column pinned to `-`).

@@ -488,7 +488,7 @@ impl FamilyChecker {
 
         // Interrupts: a (domain, line) group conflicts in products
         // containing at least two of its users.
-        for ((_, _line), users) in interrupt_users(&plan.family_tree) {
+        for (_line, users) in interrupt_users(&plan.family_tree) {
             if users.len() < 2 {
                 continue;
             }

@@ -278,9 +278,9 @@ impl SemanticChecker {
         };
         let mut refs = Vec::new();
         for d in &devices {
-            let virtual_device = tree
-                .find_path(&d.path)
-                .and_then(|n| n.prop_str("compatible"))
+            let virtual_device = d
+                .node
+                .prop_str("compatible")
                 .is_some_and(|c| VIRTUAL_COMPATIBLES.contains(&c));
             for (i, r) in d.regions.iter().enumerate() {
                 if r.size == 0 {
@@ -700,7 +700,7 @@ impl SemanticChecker {
         let devices = collect_regions(tree)?;
         let mut out = Vec::new();
         for d in devices {
-            if d.device_type.as_deref() != Some("memory") {
+            if d.node.prop_str("device_type") != Some("memory") {
                 continue;
             }
             for (i, r) in d.regions.iter().enumerate() {
@@ -822,19 +822,21 @@ fn interrupt_conflicts(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
     interrupt_users(tree)
         .into_iter()
         .filter(|(_, paths)| paths.len() > 1)
-        .map(|((_, line), paths)| (line, paths))
         .collect()
 }
 
 /// Every `(interrupt domain, line) → using node paths` group in the
-/// tree, before the ≥2-users conflict filter. The family checker lifts
-/// over these groups: a pair of users sharing a line only conflicts in
-/// products containing both, so it needs the per-user paths, not the
-/// merged verdict.
-pub(crate) fn interrupt_users(
-    tree: &DeviceTree,
-) -> std::collections::BTreeMap<(String, u32), Vec<String>> {
-    use std::collections::BTreeMap;
+/// tree, before the ≥2-users conflict filter, as `(line, paths)`. Groups
+/// come sorted by (domain key, line) and each group's paths in
+/// depth-first order. The family checker lifts over these groups: a pair
+/// of users sharing a line only conflicts in products containing both,
+/// so it needs the per-user paths, not the merged verdict.
+///
+/// One walk, linear in the tree: each domain is interned once, with its
+/// controller's `#interrupt-cells` resolved at that point, and groups
+/// accumulate under `(domain index, line)` until the single final sort.
+pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
+    use std::collections::HashMap;
 
     // Domain key: the resolved interrupt parent (label / raw phandle),
     // or "" for the implicit root domain.
@@ -860,44 +862,79 @@ pub(crate) fn interrupt_users(
             .unwrap_or(1)
     }
 
-    fn rec(
-        tree: &DeviceTree,
-        node: &llhsc_dts::Node,
-        path: String,
-        inherited_domain: &str,
-        users: &mut BTreeMap<(String, u32), Vec<String>>,
-    ) {
-        let here = if node.name.is_empty() {
-            "/".to_string()
-        } else if path == "/" {
-            format!("/{}", node.name)
-        } else {
-            format!("{path}/{}", node.name)
-        };
-        let domain = node
-            .prop("interrupt-parent")
-            .map(parent_key)
-            .unwrap_or_else(|| inherited_domain.to_string());
-        if let Some(prop) = node.prop("interrupts") {
-            if let Some(cells) = prop.flat_cells() {
-                let stride = domain_cells(tree, &domain).max(1) as usize;
+    struct Walk<'t> {
+        tree: &'t DeviceTree,
+        /// Interned domains: key and `#interrupt-cells`.
+        domains: Vec<(String, u32)>,
+        domain_of: HashMap<String, usize>,
+        /// Groups as `(domain index, line, paths)`.
+        groups: Vec<(usize, u32, Vec<String>)>,
+        group_of: HashMap<(usize, u32), usize>,
+    }
+
+    impl Walk<'_> {
+        fn intern(&mut self, key: String) -> usize {
+            if let Some(&d) = self.domain_of.get(&key) {
+                return d;
+            }
+            let d = self.domains.len();
+            self.domains
+                .push((key.clone(), domain_cells(self.tree, &key)));
+            self.domain_of.insert(key, d);
+            d
+        }
+
+        fn visit(&mut self, node: &llhsc_dts::Node, path: &str, inherited: usize) {
+            let here = if node.name.is_empty() {
+                "/".to_string()
+            } else if path == "/" {
+                format!("/{}", node.name)
+            } else {
+                format!("{path}/{}", node.name)
+            };
+            let domain = match node.prop("interrupt-parent") {
+                Some(prop) => self.intern(parent_key(prop)),
+                None => inherited,
+            };
+            if let Some(cells) = node.prop("interrupts").and_then(|p| p.flat_cells()) {
+                let stride = self.domains[domain].1.max(1) as usize;
                 for spec in cells.chunks(stride) {
                     let line = spec[0];
-                    users
-                        .entry((domain.clone(), line))
-                        .or_default()
-                        .push(here.clone());
+                    let next = self.groups.len();
+                    let g = *self.group_of.entry((domain, line)).or_insert(next);
+                    if g == next {
+                        self.groups.push((domain, line, Vec::new()));
+                    }
+                    self.groups[g].2.push(here.clone());
                 }
             }
-        }
-        for c in &node.children {
-            rec(tree, c, here.clone(), &domain, users);
+            for c in &node.children {
+                self.visit(c, &here, domain);
+            }
         }
     }
 
-    let mut users: BTreeMap<(String, u32), Vec<String>> = BTreeMap::new();
-    rec(tree, &tree.root, "/".to_string(), "", &mut users);
-    users
+    let mut walk = Walk {
+        tree,
+        domains: Vec::new(),
+        domain_of: HashMap::new(),
+        groups: Vec::new(),
+        group_of: HashMap::new(),
+    };
+    let root_domain = walk.intern(String::new());
+    walk.visit(&tree.root, "/", root_domain);
+    let Walk {
+        domains,
+        mut groups,
+        ..
+    } = walk;
+    groups.sort_unstable_by(|(da, la, _), (db, lb, _)| {
+        (&domains[*da].0, la).cmp(&(&domains[*db].0, lb))
+    });
+    groups
+        .into_iter()
+        .map(|(_, line, paths)| (line, paths))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1319,6 +1356,41 @@ mod tests {
         let r = SemanticChecker::new().check_tree(&clash).unwrap();
         assert_eq!(r.interrupt_conflicts.len(), 1);
         assert_eq!(r.interrupt_conflicts[0].0, 7);
+
+        // Three domains, each with a shared line: the root domain "",
+        // `&gic` with 3-cell specifiers inherited from the soc bus, and
+        // the raw `phandle:5`. Conflicts come ordered by (domain, line)
+        // whatever the source order, each with its paths in depth-first
+        // order. With 1-cell specifiers in `&gic`, its lines would be
+        // 9, 1, 4 and 9, 2, 4, and line 4 would clash too.
+        let three = parse(
+            r#"/ {
+                raw@100 { interrupt-parent = <5>; interrupts = <9>; };
+                gic: pic@1000 { #interrupt-cells = <3>; };
+                soc {
+                    interrupt-parent = <&gic>;
+                    spi@5000 { interrupts = <9 1 4>; };
+                    i2c@6000 { interrupts = <9 2 4>; };
+                };
+                uart@3000 { interrupts = <9>; };
+                timer@4000 { interrupts = <9>; };
+                dma@7000 { interrupts = <2>; };
+                raw@200 { interrupt-parent = <5>; interrupts = <9>; };
+                gpio@8000 { interrupts = <2>; };
+            };"#,
+        )
+        .unwrap();
+        let r = SemanticChecker::new().check_tree(&three).unwrap();
+        let paths = |ps: &[&str]| ps.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            r.interrupt_conflicts,
+            vec![
+                (2, paths(&["/dma@7000", "/gpio@8000"])),
+                (9, paths(&["/uart@3000", "/timer@4000"])),
+                (9, paths(&["/soc/spi@5000", "/soc/i2c@6000"])),
+                (9, paths(&["/raw@100", "/raw@200"])),
+            ]
+        );
     }
 
     #[test]

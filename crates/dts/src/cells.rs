@@ -68,11 +68,12 @@ impl RegEntry {
 /// A `reg`-bearing device with its decoded regions, as discovered by
 /// [`collect_regions`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceRegions {
+pub struct DeviceRegions<'a> {
     /// Path of the node that carried `reg`.
     pub path: NodePath,
-    /// The `device_type` property, if any (e.g. `"memory"`).
-    pub device_type: Option<String>,
+    /// The node that carried `reg`, so consumers read its other
+    /// properties without looking the path up again.
+    pub node: &'a Node,
     /// Decoded regions.
     pub regions: Vec<RegEntry>,
     /// The `#address-cells`/`#size-cells` pair used to decode.
@@ -188,13 +189,13 @@ pub fn decode_reg(
 /// # Errors
 ///
 /// Propagates the first decoding error (see [`decode_reg`]).
-pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError> {
+pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions<'_>>, DtsError> {
     let mut out = Vec::new();
-    fn rec(
-        node: &Node,
+    fn rec<'a>(
+        node: &'a Node,
         path: &NodePath,
         parent_cells: (u32, u32),
-        out: &mut Vec<DeviceRegions>,
+        out: &mut Vec<DeviceRegions<'a>>,
     ) -> Result<(), DtsError> {
         let here = if node.name.is_empty() {
             NodePath::root()
@@ -205,7 +206,7 @@ pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError
             let regions = decode_reg(&here, node, parent_cells.0, parent_cells.1)?;
             out.push(DeviceRegions {
                 path: here.clone(),
-                device_type: node.prop_str("device_type").map(str::to_string),
+                node,
                 regions,
                 cells: parent_cells,
             });
@@ -333,7 +334,7 @@ pub fn translate(address: u128, ranges: &[RangeEntry]) -> Option<u128> {
 /// # Errors
 ///
 /// Propagates decoding errors from `reg` and `ranges` properties.
-pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError> {
+pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions<'_>>, DtsError> {
     #[derive(Clone)]
     enum Xlat {
         /// Compose these range tables innermost-first.
@@ -342,12 +343,12 @@ pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions
         Opaque,
     }
 
-    fn rec(
-        node: &Node,
+    fn rec<'a>(
+        node: &'a Node,
         path: &NodePath,
         parent_cells: (u32, u32),
         xlat: &Xlat,
-        out: &mut Vec<DeviceRegions>,
+        out: &mut Vec<DeviceRegions<'a>>,
     ) -> Result<(), DtsError> {
         let here = if node.name.is_empty() {
             NodePath::root()
@@ -375,7 +376,7 @@ pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions
                 if all_ok {
                     out.push(DeviceRegions {
                         path: here.clone(),
-                        device_type: node.prop_str("device_type").map(str::to_string),
+                        node,
                         regions: translated,
                         cells: parent_cells,
                     });
@@ -424,10 +425,7 @@ pub fn unit_address_mismatches(tree: &DeviceTree) -> Vec<NodePath> {
     };
     let mut bad = Vec::new();
     for d in devices {
-        let Some(node) = tree.find_path(&d.path) else {
-            continue;
-        };
-        let Some(unit) = node.unit_address() else {
+        let Some(unit) = d.node.unit_address() else {
             continue;
         };
         let Ok(unit_val) = u128::from_str_radix(unit, 16) else {
@@ -435,7 +433,7 @@ pub fn unit_address_mismatches(tree: &DeviceTree) -> Vec<NodePath> {
         };
         if let Some(first) = d.regions.first() {
             if first.address != unit_val {
-                bad.push(d.path.clone());
+                bad.push(d.path);
             }
         }
     }
@@ -556,6 +554,22 @@ mod tests {
     fn unresolved_ref_in_reg_rejected() {
         let t = parse("/ { x@0 { reg = <&foo 0x1000>; }; };").unwrap();
         assert!(collect_regions(&t).is_err());
+    }
+
+    #[test]
+    fn region_records_carry_their_own_node() {
+        // Siblings that share a name, as a decoded blob may hold: each
+        // record points at its own node, not at the first namesake.
+        let mut t = parse("/ { #address-cells = <1>; #size-cells = <1>; };").unwrap();
+        for (compatible, base) in [("acme,a", 0x1000), ("acme,b", 0x2000)] {
+            let mut dev = Node::new("dev@1000");
+            dev.set_prop(crate::Property::string("compatible", compatible));
+            dev.set_prop(crate::Property::cells("reg", [base, 0x100]));
+            t.root.children.push(dev);
+        }
+        let devs = collect_regions(&t).unwrap();
+        let compatibles: Vec<_> = devs.iter().map(|d| d.node.prop_str("compatible")).collect();
+        assert_eq!(compatibles, [Some("acme,a"), Some("acme,b")]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::error::{DtsError, Position};
 use crate::lexer::{Lexer, Token, TokenKind};
-use crate::tree::{Cell, DeviceTree, Node, PropValue, Property};
+use crate::tree::{Cell, DeviceTree, Node, PropValue, Property, SiblingIndex};
 
 /// Supplies the contents of `/include/`d files.
 ///
@@ -90,41 +90,41 @@ fn tokenize_with_includes(
     depth: usize,
 ) -> Result<Vec<Token>, DtsError> {
     let raw = Lexer::new(src).tokenize()?;
+    if !raw.iter().any(|t| t.kind == TokenKind::Include) {
+        return Ok(raw);
+    }
     let mut out = Vec::with_capacity(raw.len());
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i].kind == TokenKind::Include {
-            let at = raw[i].at;
-            let Some(next) = raw.get(i + 1) else {
-                return Err(DtsError::Unexpected {
-                    at,
-                    expected: "include file name".into(),
-                    found: "end of input".into(),
-                });
-            };
-            let TokenKind::Str(name) = &next.kind else {
-                return Err(DtsError::Unexpected {
-                    at: next.at,
-                    expected: "include file name".into(),
-                    found: next.kind.describe(),
-                });
-            };
-            if depth >= MAX_INCLUDE_DEPTH {
-                return Err(DtsError::IncludeDepth { file: name.clone() });
-            }
-            let contents = provider.read(name).ok_or(DtsError::MissingInclude {
-                at,
-                file: name.clone(),
-            })?;
-            let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
-            // Drop the inner EOF.
-            inner.pop();
-            out.extend(inner);
-            i += 2;
-        } else {
-            out.push(raw[i].clone());
-            i += 1;
+    let mut raw = raw.into_iter();
+    while let Some(token) = raw.next() {
+        if token.kind != TokenKind::Include {
+            out.push(token);
+            continue;
         }
+        let at = token.at;
+        let Some(next) = raw.next() else {
+            return Err(DtsError::Unexpected {
+                at,
+                expected: "include file name".into(),
+                found: "end of input".into(),
+            });
+        };
+        let TokenKind::Str(name) = next.kind else {
+            return Err(DtsError::Unexpected {
+                at: next.at,
+                expected: "include file name".into(),
+                found: next.kind.describe(),
+            });
+        };
+        if depth >= MAX_INCLUDE_DEPTH {
+            return Err(DtsError::IncludeDepth { file: name });
+        }
+        let Some(contents) = provider.read(&name) else {
+            return Err(DtsError::MissingInclude { at, file: name });
+        };
+        let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
+        // Drop the inner EOF.
+        inner.pop();
+        out.extend(inner);
     }
     Ok(out)
 }
@@ -149,12 +149,21 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
+    /// Consumes the current token and returns it. Tokens before the
+    /// final EOF are moved out, since the parser never looks back; the
+    /// EOF stays, so reading past the end keeps returning it.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        let i = self.pos.min(last);
+        self.pos = (self.pos + 1).min(self.tokens.len());
+        if i == last {
+            return self.tokens[last].clone();
         }
-        t
+        let kind = std::mem::replace(&mut self.tokens[i].kind, TokenKind::Eof);
+        Token {
+            kind,
+            at: self.tokens[i].at,
+        }
     }
 
     fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, DtsError> {
@@ -245,24 +254,23 @@ impl Parser {
             return Err(DtsError::TooDeep { at: open.at });
         }
         let mut node = Node::new(name);
+        let mut siblings = SiblingIndex::default();
         loop {
-            match self.peek().kind.clone() {
+            let t = self.bump();
+            match t.kind {
                 TokenKind::RBrace => {
-                    self.bump();
                     self.depth -= 1;
                     return Ok(node);
                 }
                 TokenKind::DeleteNode => {
-                    self.bump();
                     let t = self.bump();
                     let TokenKind::Ident(child) = t.kind else {
                         return Err(Parser::unexpected(&t, "node name after /delete-node/"));
                     };
-                    node.remove_child(&child);
+                    siblings.remove(&mut node.children, &child);
                     self.expect(&TokenKind::Semi, "';' after /delete-node/")?;
                 }
                 TokenKind::DeleteProperty => {
-                    self.bump();
                     let t = self.bump();
                     let TokenKind::Ident(prop) = t.kind else {
                         return Err(Parser::unexpected(
@@ -273,12 +281,13 @@ impl Parser {
                     node.remove_prop(&prop);
                     self.expect(&TokenKind::Semi, "';' after /delete-property/")?;
                 }
-                TokenKind::Label(_) => {
+                TokenKind::Label(first) => {
                     // One or more labels, then a child node.
-                    let mut labels = Vec::new();
-                    while let TokenKind::Label(l) = self.peek().kind.clone() {
-                        self.bump();
-                        labels.push(l);
+                    let mut labels = vec![first];
+                    while let TokenKind::Label(_) = self.peek().kind {
+                        if let TokenKind::Label(l) = self.bump().kind {
+                            labels.push(l);
+                        }
                     }
                     let t = self.bump();
                     let TokenKind::Ident(child_name) = t.kind else {
@@ -287,45 +296,33 @@ impl Parser {
                     let mut child = self.parse_node_body(&child_name)?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
                     child.labels.splice(0..0, labels);
-                    match node.children.iter_mut().find(|c| c.name == child.name) {
-                        Some(existing) => existing.merge(child),
-                        None => node.children.push(child),
+                    siblings.add(&mut node.children, child);
+                }
+                TokenKind::Ident(ident) => match self.peek().kind {
+                    TokenKind::LBrace => {
+                        let child = self.parse_node_body(&ident)?;
+                        self.expect(&TokenKind::Semi, "';' after node")?;
+                        siblings.add(&mut node.children, child);
                     }
-                }
-                TokenKind::Ident(ident) => {
-                    self.bump();
-                    match self.peek().kind {
-                        TokenKind::LBrace => {
-                            let child = self.parse_node_body(&ident)?;
-                            self.expect(&TokenKind::Semi, "';' after node")?;
-                            match node.children.iter_mut().find(|c| c.name == child.name) {
-                                Some(existing) => existing.merge(child),
-                                None => node.children.push(child),
-                            }
-                        }
-                        TokenKind::Eq => {
-                            self.bump();
-                            let values = self.parse_values()?;
-                            self.expect(&TokenKind::Semi, "';' after property")?;
-                            node.set_prop(Property {
-                                name: ident,
-                                values,
-                            });
-                        }
-                        TokenKind::Semi => {
-                            self.bump();
-                            node.set_prop(Property::flag(&ident));
-                        }
-                        _ => {
-                            let t = self.peek().clone();
-                            return Err(Parser::unexpected(&t, "'{', '=' or ';' after name"));
-                        }
+                    TokenKind::Eq => {
+                        self.bump();
+                        let values = self.parse_values()?;
+                        self.expect(&TokenKind::Semi, "';' after property")?;
+                        node.set_prop(Property {
+                            name: ident,
+                            values,
+                        });
                     }
-                }
-                _ => {
-                    let t = self.peek().clone();
-                    return Err(Parser::unexpected(&t, "property, node or '}'"));
-                }
+                    TokenKind::Semi => {
+                        self.bump();
+                        node.set_prop(Property::flag(&ident));
+                    }
+                    _ => {
+                        let t = self.peek().clone();
+                        return Err(Parser::unexpected(&t, "'{', '=' or ';' after name"));
+                    }
+                },
+                _ => return Err(Parser::unexpected(&t, "property, node or '}'")),
             }
         }
     }

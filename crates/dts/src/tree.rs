@@ -1,7 +1,9 @@
 //! The DeviceTree data model: nodes, properties, values and paths.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::error::DtsError;
 
@@ -306,11 +308,12 @@ impl Node {
         for p in other.properties {
             self.set_prop(p);
         }
+        if other.children.is_empty() {
+            return;
+        }
+        let mut siblings = SiblingIndex::new(&self.children);
         for c in other.children {
-            match self.children.iter_mut().find(|mine| mine.name == c.name) {
-                Some(mine) => mine.merge(c),
-                None => self.children.push(c),
-            }
+            siblings.add(&mut self.children, c);
         }
     }
 
@@ -336,6 +339,71 @@ impl Node {
     /// Total number of nodes in this subtree (including `self`).
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(Node::size).sum::<usize>()
+    }
+}
+
+/// Where each name first occurs in a list of sibling nodes, so that a
+/// node declared twice finds its namesake without scanning the list.
+///
+/// This is the one sibling-merging routine: the parser keeps one per
+/// node body it reads, and [`Node::merge`] builds one over the children
+/// it merges into. Either way a list of n children costs O(n) to build,
+/// where a scan per child costs n²/2 name comparisons. The index keys on
+/// a hash of the name, so it borrows nothing from the list; a hit is
+/// confirmed against the name, and a hash collision falls back to a
+/// scan.
+#[derive(Debug, Default)]
+pub(crate) struct SiblingIndex {
+    first: HashMap<u64, usize>,
+    hasher: RandomState,
+}
+
+impl SiblingIndex {
+    /// Indexes `children` as they stand.
+    pub(crate) fn new(children: &[Node]) -> SiblingIndex {
+        let mut index = SiblingIndex {
+            first: HashMap::with_capacity(children.len()),
+            hasher: RandomState::new(),
+        };
+        for (i, c) in children.iter().enumerate() {
+            let key = index.hasher.hash_one(&c.name);
+            index.first.entry(key).or_insert(i);
+        }
+        index
+    }
+
+    /// Position of the first child called `name`, whose hash is `key`.
+    fn position(&self, children: &[Node], key: u64, name: &str) -> Option<usize> {
+        let &i = self.first.get(&key)?;
+        if children.get(i).is_some_and(|c| c.name == name) {
+            Some(i)
+        } else {
+            children.iter().position(|c| c.name == name)
+        }
+    }
+
+    /// Merges `child` into the first of `children` with the same name,
+    /// or appends it when there is none.
+    pub(crate) fn add(&mut self, children: &mut Vec<Node>, child: Node) {
+        let key = self.hasher.hash_one(&child.name);
+        match self.position(children, key, &child.name) {
+            Some(i) => children[i].merge(child),
+            None => {
+                self.first.entry(key).or_insert(children.len());
+                children.push(child);
+            }
+        }
+    }
+
+    /// Removes the first of `children` called `name`, as `/delete-node/`
+    /// does. The children after it move up one place, so the index is
+    /// rebuilt: a delete costs O(n), as removing from a vector does.
+    pub(crate) fn remove(&mut self, children: &mut Vec<Node>, name: &str) {
+        let key = self.hasher.hash_one(name);
+        if let Some(i) = self.position(children, key, name) {
+            children.remove(i);
+            *self = SiblingIndex::new(children);
+        }
     }
 }
 
@@ -503,13 +571,36 @@ impl DeviceTree {
             })
     }
 
-    /// Resolves a `&label` to the path of the labelled node.
+    /// Resolves a `&label` to the path of the labelled node: the first
+    /// labelled node in depth-first order, the order of
+    /// [`DeviceTree::nodes`]. The search stops there and builds only that
+    /// node's path.
     pub fn resolve_label(&self, label: &str) -> Option<NodePath> {
-        self.root
-            .walk()
-            .into_iter()
-            .find(|(_, n)| n.labels.iter().any(|l| l == label))
-            .map(|(p, _)| p)
+        fn search<'a>(node: &'a Node, label: &str, stack: &mut Vec<&'a Node>) -> bool {
+            stack.push(node);
+            if node.labels.iter().any(|l| l == label)
+                || node.children.iter().any(|c| search(c, label, stack))
+            {
+                return true;
+            }
+            stack.pop();
+            false
+        }
+        let mut stack = Vec::new();
+        if !search(&self.root, label, &mut stack) {
+            return None;
+        }
+        // Segments as `Node::walk` builds them: a nameless node stands
+        // for the root.
+        let mut segments = Vec::with_capacity(stack.len());
+        for n in stack {
+            if n.name.is_empty() {
+                segments.clear();
+            } else {
+                segments.push(n.name.clone());
+            }
+        }
+        Some(NodePath(segments))
     }
 
     /// All nodes with their paths, depth first.
@@ -711,6 +802,18 @@ mod tests {
         assert!(t.resolve_label("nope").is_none());
         let ph = t.phandle_map();
         assert_eq!(ph.get("boot_cpu"), Some(&1));
+
+        // A nested node behind earlier siblings; a later holder of the
+        // same label in depth-first order does not win.
+        t.find_mut("/cpus/cpu@1")
+            .unwrap()
+            .labels
+            .push("second_cpu".into());
+        t.ensure("/zz").labels.push("second_cpu".into());
+        assert_eq!(
+            t.resolve_label("second_cpu").unwrap().to_string(),
+            "/cpus/cpu@1"
+        );
     }
 
     #[test]

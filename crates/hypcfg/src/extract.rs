@@ -69,15 +69,11 @@ fn to_u64(v: u128, path: &str) -> Result<u64, ExtractError> {
 
 fn regions_of(
     devices: &[DeviceRegions],
-    tree: &DeviceTree,
     pred: impl Fn(&Node) -> bool,
 ) -> Result<Vec<(String, Vec<MemRegion>)>, ExtractError> {
     let mut out = Vec::new();
     for d in devices {
-        let Some(node) = tree.find_path(&d.path) else {
-            continue;
-        };
-        if !pred(node) {
+        if !pred(d.node) {
             continue;
         }
         let mut regions = Vec::new();
@@ -106,7 +102,7 @@ impl PlatformConfig {
         let devices = collect_regions(tree).map_err(|e| ExtractError::BadReg(e.to_string()))?;
 
         let mut regions: Vec<MemRegion> = Vec::new();
-        for (_, rs) in regions_of(&devices, tree, is_memory)? {
+        for (_, rs) in regions_of(&devices, is_memory)? {
             regions.extend(rs);
         }
         if regions.is_empty() {
@@ -121,7 +117,7 @@ impl PlatformConfig {
 
         let console_base = devices
             .iter()
-            .filter(|d| tree.find_path(&d.path).is_some_and(is_uart))
+            .filter(|d| is_uart(d.node))
             .filter_map(|d| d.regions.first())
             .map(|r| to_u64(r.address, "uart"))
             .next()
@@ -155,7 +151,7 @@ impl VmConfig {
         let devices = collect_regions(tree).map_err(|e| ExtractError::BadReg(e.to_string()))?;
 
         let mut regions: Vec<MemRegion> = Vec::new();
-        for (_, rs) in regions_of(&devices, tree, is_memory)? {
+        for (_, rs) in regions_of(&devices, is_memory)? {
             regions.extend(rs);
         }
         if regions.is_empty() {
@@ -176,10 +172,7 @@ impl VmConfig {
 
         let mut devs: Vec<DevRegion> = Vec::new();
         for d in &devices {
-            let Some(node) = tree.find_path(&d.path) else {
-                continue;
-            };
-            if !is_uart(node) {
+            if !is_uart(d.node) {
                 continue;
             }
             for r in &d.regions {
@@ -194,13 +187,10 @@ impl VmConfig {
 
         let mut ipcs: Vec<IpcRegion> = Vec::new();
         for d in &devices {
-            let Some(node) = tree.find_path(&d.path) else {
-                continue;
-            };
-            if !is_veth(node) {
+            if !is_veth(d.node) {
                 continue;
             }
-            let shmem_id = node.prop_u32("id").unwrap_or(ipcs.len() as u32);
+            let shmem_id = d.node.prop_u32("id").unwrap_or(ipcs.len() as u32);
             if let Some(r) = d.regions.first() {
                 ipcs.push(IpcRegion {
                     base: to_u64(r.address, &d.path.to_string())?,
