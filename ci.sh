@@ -443,7 +443,8 @@ EOF
 wait "$SERVE3_PID"
 SERVE3_PID=""
 
-# Scaling smoke: checking a board takes time linear in its size. Boards
+# Scaling smoke: checking a board declared in a root body takes time
+# linear in its size (top-level `&label` overlays are not covered). Boards
 # of 1 500 and 6 000 devices under the root node, one line per device as
 # the benchmark's board_check workload writes them, are each checked
 # three times. Every run must exit 0 and end `: ok`, and the median time
