@@ -493,6 +493,66 @@ print(f"scaling ok: {medians[1500]:.1f} ms at 1500 devices, "
       f"{medians[6000]:.1f} ms at 6000 ({ratio:.1f}x)")
 EOF
 
+# Pigeonhole smoke: one VM more than there are exclusive CPUs is the
+# pigeonhole formula, which CDCL alone refutes only in time exponential
+# in the CPU count. The allocation checker orders interchangeable VMs
+# lexicographically, so each run below must finish within 10 s (the
+# unbroken encoding needs minutes for the first two): `llhsc model` on
+# 15 exclusive CPUs prints 15, 13 VMs on 12 CPUs are rejected with
+# `error[allocation]`, and 12 VMs on 12 CPUs are accepted, one distinct
+# CPU per VM across out/vm*.dts.
+python3 - "$LLHSC" "$SMOKE_DIR" <<'EOF'
+import glob, os, re, subprocess, sys
+
+# Absolute, because the builds below run inside their project directory.
+llhsc, d = os.path.abspath(sys.argv[1]), sys.argv[2]
+
+def model(cpus):
+    return ("feature P {\n\tmemory\n\tcpus xor exclusive {\n"
+            + "".join(f"\t\tcpu@{i}?\n" for i in range(cpus)) + "\t}\n}\n")
+
+def project(cpus, vms):
+    path = f"{d}/pigeon{cpus}_{vms}"
+    os.makedirs(path)
+    core = ["/dts-v1/;", "/ {", "\t#address-cells = <1>;", "\t#size-cells = <1>;",
+            "\tmemory@80000000 { device_type = \"memory\"; reg = <0x80000000 0x40000000>; };",
+            "\tcpus {", "\t\t#address-cells = <1>;", "\t\t#size-cells = <0>;"]
+    deltas = []
+    for i in range(cpus):
+        core.append(f"\t\tcpu@{i} {{ compatible = \"arm,cortex-a53\"; device_type = \"cpu\"; "
+                    f"enable-method = \"psci\"; reg = <{i:#x}>; }};")
+        deltas.append(f"delta drop_cpu{i} when !cpu@{i} {{ removes /cpus/cpu@{i}; }}")
+    core += ["\t};", "};"]
+    files = {"core.dts": core, "deltas.delta": deltas, "model.fm": [model(cpus)],
+             "vms.cfg": [f"vm{k + 1}: memory" for k in range(vms)]}
+    for name, lines in files.items():
+        with open(f"{path}/{name}", "w") as f:
+            f.write("\n".join(lines) + "\n")
+    return path
+
+def run(args, cwd=None):
+    return subprocess.run([llhsc] + args, cwd=cwd, capture_output=True, text=True, timeout=10)
+
+with open(f"{d}/pigeon15.fm", "w") as f:
+    f.write(model(15))
+out = run(["model", f"{d}/pigeon15.fm"])
+assert out.returncode == 0, (out.returncode, out.stderr)
+assert "maximum VMs under exclusive-resource partitioning: 15\n" in out.stdout, out.stdout
+
+rejected = run(["build", "."], cwd=project(12, 13))
+assert rejected.returncode == 1, (rejected.returncode, rejected.stdout, rejected.stderr)
+assert "error[allocation]" in rejected.stdout + rejected.stderr, rejected
+
+accepted_dir = project(12, 12)
+accepted = run(["build", "."], cwd=accepted_dir)
+assert accepted.returncode == 0, (accepted.returncode, accepted.stdout, accepted.stderr)
+cpus = []
+for path in glob.glob(f"{accepted_dir}/out/vm*.dts"):
+    cpus += re.findall(r"\bcpu@[0-9a-f]+\b", open(path).read())
+assert len(cpus) == 12 and len(set(cpus)) == 12, sorted(cpus)
+print("pigeonhole ok: 15 CPUs hold 15 VMs, 13 on 12 rejected, 12 on 12 placed")
+EOF
+
 # Progress determinism: on the zero clock, two `--progress` runs of the
 # same input must emit byte-identical stderr (the heartbeat cadence is
 # conflict-count based, the rate column pinned to `-`).

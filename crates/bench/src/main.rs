@@ -1038,8 +1038,9 @@ fn ablation_trees() -> Vec<llhsc_dts::DeviceTree> {
 }
 
 /// Exclusive CPUs of the ablation's §IV-A allocation, which places one
-/// VM more than that: the pigeonhole principle, refutable only by CDCL
-/// search, so it is the input on which the in-processing passes work.
+/// VM more than that: the pigeonhole principle. `MultiModel::check`
+/// leaves the VMs' symmetry unbroken, so only CDCL search refutes it,
+/// and it is the input on which the in-processing passes work.
 const ABLATION_CPUS: usize = 7;
 
 /// The solver configuration of one 4-bit combo (chrono backtracking,

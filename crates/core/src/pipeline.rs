@@ -25,6 +25,7 @@
 //! [`Pipeline::run_cached`] with no cache.
 
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use llhsc_delta::{DeltaModule, DerivedProduct, ProductLine};
@@ -386,11 +387,14 @@ impl Pipeline {
         timings.derivation = stage_start.elapsed();
 
         // ---- Stage 3+4: check every derived tree ----
-        // The trees are independent, so each gets its own checker run
-        // on its own thread. Results are merged in VM order (platform
-        // last), so the diagnostic stream does not depend on thread
-        // scheduling. Each product's result is cached under a key
-        // covering the product (tree, order, provenance) and the
+        // The trees are independent, so they are checked in parallel
+        // by one scoped thread per core (never more threads than
+        // trees), each pulling the next tree's index from a shared
+        // counter; more threads than cores only raise a busy daemon's
+        // memory footprint. Results are merged in VM
+        // order (platform last), so the diagnostic stream does not
+        // depend on thread scheduling. Each product's result is cached
+        // under a key covering the product (tree, order, provenance) and the
         // schemas; diagnostics are cached VM-less and stamped after
         // retrieval so identical products can share an entry across VM
         // slots.
@@ -456,19 +460,36 @@ impl Pipeline {
             }
             (diags, stats, fresh, session)
         };
-        let check_one = &check_one;
-        let checked: Vec<Checked> = std::thread::scope(|s| {
-            let handles: Vec<_> = all
-                .iter()
-                .map(|&(vm, product)| s.spawn(move || check_one(vm, product)))
+        let workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(all.len());
+        let next = AtomicUsize::new(0);
+        let mut checked: Vec<(usize, Checked)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // Relaxed: the counter only hands out
+                            // indices; results travel back via `join`.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&(vm, product)) = all.get(i) else {
+                                return done;
+                            };
+                            done.push((i, check_one(vm, product)));
+                        }
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("checker thread panicked"))
+                .flat_map(|h| h.join().expect("checker thread panicked"))
                 .collect()
         });
+        checked.sort_unstable_by_key(|&(i, _)| i);
         let mut semantic_stats = RegionCheckStats::default();
-        for ((vm, _), (mut tree_diags, tree_stats, fresh, session)) in all.iter().zip(checked) {
+        for ((vm, _), (_, (mut tree_diags, tree_stats, fresh, session))) in all.iter().zip(checked)
+        {
             for d in &mut tree_diags {
                 d.vm = *vm;
             }
@@ -1149,8 +1170,10 @@ mod tests {
 
     #[test]
     fn allocation_search_heartbeats_reach_the_progress_sink() {
-        // Five VMs on four exclusive CPUs: the §IV-A pigeonhole, which
-        // the allocation checker can only refute by CDCL search.
+        // Five VMs on four exclusive CPUs: the §IV-A pigeonhole. The
+        // lex-leader order over the five interchangeable VMs leaves the
+        // refutation only a few conflicts, and with a heartbeat every
+        // conflict each of them beats.
         #[derive(Default)]
         struct Count(AtomicUsize);
         impl llhsc_sat::ProgressSink for Count {

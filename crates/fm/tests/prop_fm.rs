@@ -1,9 +1,10 @@
-//! Property tests: SAT-based product enumeration against brute-force
-//! semantics of random feature models.
+//! Property tests: SAT-based product enumeration and §IV-A resource
+//! allocation against brute-force semantics of random feature models.
 
 use std::collections::BTreeSet;
 
-use llhsc_fm::{Analyzer, FeatureId, FeatureModel, GroupKind};
+use llhsc_fm::{AllocationError, Analyzer, FeatureId, FeatureModel, GroupKind, MultiModel};
+use llhsc_smt::CheckOptions;
 use proptest::prelude::*;
 
 fn arb_group() -> impl Strategy<Value = GroupKind> {
@@ -51,6 +52,34 @@ fn arb_model() -> impl Strategy<Value = (FeatureModel, Vec<FeatureId>)> {
             }
             (fm, ids)
         })
+}
+
+/// [`arb_model`] plus one `xor exclusive` group `g` under the root with
+/// 1–4 optional children, which the VMs of a configuration compete for.
+/// When `g` is optional, one random feature may require it.
+fn arb_partitioned_model() -> impl Strategy<Value = (FeatureModel, Vec<FeatureId>)> {
+    (arb_model(), any::<bool>(), 1usize..5, 0u16..8).prop_map(
+        |((mut fm, mut ids), optional, children, needs_g)| {
+            let root = fm.root();
+            let g = if optional {
+                fm.add_optional(root, "g")
+            } else {
+                fm.add_mandatory(root, "g")
+            };
+            fm.set_group(g, GroupKind::Xor);
+            fm.set_cross_vm_exclusive(g, true);
+            if let Some(&f) = ids.get(usize::from(needs_g)) {
+                if f != root {
+                    fm.requires(f, g);
+                }
+            }
+            ids.push(g);
+            for i in 0..children {
+                ids.push(fm.add_optional(g, &format!("c{i}")));
+            }
+            (fm, ids)
+        },
+    )
 }
 
 /// Direct (non-SAT) semantics: checks a candidate selection against the
@@ -150,6 +179,55 @@ fn brute_force_products(fm: &FeatureModel) -> BTreeSet<BTreeSet<FeatureId>> {
     out
 }
 
+/// Brute-force §IV-A: whether every VM can be given a product that
+/// contains its selection, with each child of an exclusive group taken
+/// by at most one VM.
+fn allocatable(
+    fm: &FeatureModel,
+    products: &BTreeSet<BTreeSet<FeatureId>>,
+    selections: &[BTreeSet<FeatureId>],
+) -> bool {
+    let exclusive: BTreeSet<FeatureId> = fm
+        .ids()
+        .filter(|&id| fm.feature(id).cross_vm_exclusive)
+        .flat_map(|id| fm.feature(id).children.iter().copied())
+        .collect();
+    // What each VM can hold of the exclusive features.
+    let options: Vec<BTreeSet<BTreeSet<FeatureId>>> = selections
+        .iter()
+        .map(|sel| {
+            products
+                .iter()
+                .filter(|p| sel.is_subset(p))
+                .map(|p| p.intersection(&exclusive).copied().collect())
+                .collect()
+        })
+        .collect();
+    fn place(options: &[BTreeSet<BTreeSet<FeatureId>>], taken: &BTreeSet<FeatureId>) -> bool {
+        let Some((first, rest)) = options.split_first() else {
+            return true;
+        };
+        first.iter().any(|held| {
+            held.is_disjoint(taken) && place(rest, &taken.union(held).copied().collect())
+        })
+    }
+    place(&options, &BTreeSet::new())
+}
+
+/// The selections named by an `Unsatisfiable` core (`vmK:feature`).
+fn core_selections(fm: &FeatureModel, core: &[String], vms: usize) -> Vec<BTreeSet<FeatureId>> {
+    let mut out = vec![BTreeSet::new(); vms];
+    for decision in core {
+        let (vm, name) = decision.split_once(':').expect("vmK:feature");
+        let k: usize = vm
+            .strip_prefix("vm")
+            .and_then(|k| k.parse().ok())
+            .expect("vmK");
+        out[k - 1].insert(fm.by_name(name).expect("core names a feature"));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -197,5 +275,71 @@ proptest! {
             // Void model: everything is dead and (vacuously) core.
             prop_assert_eq!(dead.len(), fm.len());
         }
+    }
+}
+
+proptest! {
+    // More cases than above: an unclosed core of the ordered probe (see
+    // `MultiModel::complete`) first shows up past case 64.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `complete` (lex-leader probe over VMs with equal selections)
+    /// agrees with brute force on feasibility; an accepted allocation is
+    /// the one the unbroken, certified probe picks; a reported core is
+    /// infeasible on its own; and `max_vms` finds the brute-force
+    /// maximum.
+    #[test]
+    fn allocation_matches_brute_force(
+        (fm, ids) in arb_partitioned_model(),
+        pool in prop::collection::vec((any::<u32>(), any::<u32>()), 2..3),
+        picks in prop::collection::vec(any::<bool>(), 1..6),
+    ) {
+        let products = brute_force_products(&fm);
+        // Sparse selections (each feature with probability 1/4) from a
+        // pool of two, so that VMs with equal selections form groups.
+        let pool: Vec<Vec<FeatureId>> = pool
+            .iter()
+            .map(|(a, b)| {
+                ids.iter()
+                    .enumerate()
+                    .filter(|(i, _)| (a & b) >> (i % 32) & 1 == 1)
+                    .map(|(_, id)| *id)
+                    .collect()
+            })
+            .collect();
+        let selections: Vec<Vec<FeatureId>> =
+            picks.iter().map(|&p| pool[usize::from(p)].clone()).collect();
+        let sets: Vec<BTreeSet<FeatureId>> =
+            selections.iter().map(|s| s.iter().copied().collect()).collect();
+        let vms = selections.len();
+
+        let got = MultiModel::new(&fm, vms).complete(&selections);
+        prop_assert_eq!(got.is_ok(), allocatable(&fm, &products, &sets));
+        let certify = CheckOptions { certify: true, ..CheckOptions::default() };
+        let certified = MultiModel::with_options(&fm, vms, &certify).complete(&selections);
+        match got {
+            Ok(allocation) => {
+                for (vm, sel) in allocation.vms.iter().zip(&sets) {
+                    prop_assert!(products.contains(vm) && sel.is_subset(vm));
+                }
+                prop_assert_eq!(Ok(allocation), certified);
+            }
+            Err(AllocationError::Unsatisfiable(core)) => {
+                prop_assert!(certified.is_err());
+                let blamed = core_selections(&fm, &core, vms);
+                prop_assert!(!allocatable(&fm, &products, &blamed), "{:?} is no core", core);
+            }
+            Err(AllocationError::Infeasible { vms: n }) => {
+                prop_assert!(certified.is_err());
+                prop_assert_eq!(n, vms);
+                prop_assert!(!allocatable(&fm, &products, &vec![BTreeSet::new(); vms]));
+            }
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+
+        let max = (1..=6)
+            .take_while(|&m| allocatable(&fm, &products, &vec![BTreeSet::new(); m]))
+            .last();
+        prop_assert_eq!(MultiModel::max_vms(&fm, 6), max);
     }
 }

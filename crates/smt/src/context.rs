@@ -953,6 +953,22 @@ impl Context {
         self.solver.add_clause([!g, l]);
     }
 
+    /// Asserts the disjunction of `lits` at the ground level as a single
+    /// clause, with no Tseitin gate for the disjunction itself: the
+    /// primitive for hand-written CNF such as symmetry-breaking chains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any term is not of sort `Bool`.
+    pub fn assert_clause(&mut self, lits: &[TermId]) {
+        let mut clause = Vec::with_capacity(lits.len());
+        for &t in lits {
+            self.expect_bool(t, "assert_clause");
+            clause.push(self.blaster.bool_lit(&self.pool, &mut self.solver, t));
+        }
+        self.solver.add_clause(clause);
+    }
+
     /// `(cache hits, cache misses)` of the bit-blasting cache: how many
     /// term encodings were reused versus freshly lowered to gates.
     pub fn encode_counts(&self) -> (u64, u64) {
@@ -1800,6 +1816,22 @@ mod tests {
         assert_eq!(ctx.check(), CheckResult::Sat);
         assert_eq!(ctx.check_assuming(&[g]), CheckResult::Unsat);
         // Guarded constraints are never retracted, only deactivated.
+        assert_eq!(ctx.check(), CheckResult::Sat);
+    }
+
+    #[test]
+    fn assert_clause_is_one_disjunction() {
+        let mut ctx = Context::new();
+        let p = ctx.bool_var("p");
+        let q = ctx.bool_var("q");
+        let nq = ctx.not(q);
+        ctx.assert_clause(&[p, nq]);
+        assert_eq!(ctx.check_assuming(&[q]), CheckResult::Sat);
+        assert_eq!(ctx.model().unwrap().eval_bool(p), Some(true));
+        let np = ctx.not(p);
+        assert_eq!(ctx.check_assuming(&[np, q]), CheckResult::Unsat);
+        ctx.assert_clause(&[np]);
+        assert_eq!(ctx.check_assuming(&[q]), CheckResult::Unsat);
         assert_eq!(ctx.check(), CheckResult::Sat);
     }
 

@@ -13,7 +13,10 @@ use llhsc_sat::{ProgressSink, SolverConfig};
 ///
 /// Observation fields (`progress`, `trace`) never change a verdict, a
 /// model or a solver counter; `certify` and `clause_log` only add work
-/// (proof replay, clause copies) on top of the same search.
+/// (proof replay, clause copies) on top of the same search. The one
+/// exception is the §IV-A allocation probe of `llhsc-fm`'s
+/// `MultiModel::complete`, which drops its symmetry-breaking clauses
+/// under `certify` because a DRAT proof cannot justify them.
 #[derive(Clone, Default)]
 pub struct CheckOptions {
     /// CDCL configuration (in-processing passes, restart policy,
