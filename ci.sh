@@ -299,7 +299,24 @@ grep -q '^certified: ' "$SMOKE_DIR/family.out"
 # answered from the analytics cache with zero fresh solver calls
 # (docs/ANALYTICS.md).
 "$LLHSC" count --fixture quadcore > "$SMOKE_DIR/count.out"
-grep -q '^count: 60 (exact; 1 components, 0 free variables, 60 enumerated)$' "$SMOKE_DIR/count.out"
+grep -q '^count: 60 (exact; 2 components, 0 free variables, 19 enumerated)$' "$SMOKE_DIR/count.out"
+# The benchmark's edit_loop model: an 8-CPU xor group and an 8-UART
+# abstract or group under the asserted root. Fixing the root first
+# splits the two groups, so 8 + 255 models are enumerated for the
+# 8 × 255 products instead of all 2 040 in one component.
+python3 - "$SMOKE_DIR/edit.fm" <<'EOF'
+import sys
+
+lines = ["feature edit {", "\tmemory", "\tcpus xor exclusive {"]
+lines += [f"\t\tcpu@{i}?" for i in range(8)]
+lines += ["\t}", "\tuarts abstract or {"]
+lines += [f"\t\tuart@{0x10000000 + u * 0x1000:x}?" for u in range(8)]
+lines += ["\t}", "}"]
+open(sys.argv[1], "w").write("\n".join(lines) + "\n")
+EOF
+"$LLHSC" count "$SMOKE_DIR/edit.fm" > "$SMOKE_DIR/edit_count.out"
+grep -q '^count: 2040 (exact; 2 components, 0 free variables, 263 enumerated)$' \
+    "$SMOKE_DIR/edit_count.out"
 "$LLHSC" sample --fixture quadcore -k 50 --seed 7 --json > "$SMOKE_DIR/sample.json"
 python3 - "$SMOKE_DIR/sample.json" <<'EOF'
 import json, sys
@@ -331,6 +348,8 @@ test -n "$ADDR2"
 
 "$LLHSC" client --addr "$ADDR2" count --fixture quadcore > "$SMOKE_DIR/remote_count.out"
 cmp "$SMOKE_DIR/count.out" "$SMOKE_DIR/remote_count.out"
+"$LLHSC" client --addr "$ADDR2" count "$SMOKE_DIR/edit.fm" > "$SMOKE_DIR/remote_edit_count.out"
+cmp "$SMOKE_DIR/edit_count.out" "$SMOKE_DIR/remote_edit_count.out"
 "$LLHSC" sample --fixture quadcore -k 5 --seed 7 > "$SMOKE_DIR/local_sample.out"
 "$LLHSC" client --addr "$ADDR2" sample --fixture quadcore -k 5 --seed 7 \
     > "$SMOKE_DIR/remote_sample.out"

@@ -281,8 +281,9 @@ impl FamilyChecker {
     /// `certify`, every `Unsat` family verdict carries a DRAT proof —
     /// "this family is clean for every derivable product" becomes a
     /// checkable certificate. With a trace, each check records a
-    /// `family_check` span under it, with the lifted counters and every
-    /// family query's `solve` span nested inside.
+    /// `family_check` span under it, with the lifted counters, a `count`
+    /// span for the product count and every family query's `solve` span
+    /// nested inside.
     pub fn with_options(opts: &CheckOptions) -> FamilyChecker {
         FamilyChecker {
             session: SolverSession::with_options(&CheckOptions {
@@ -384,7 +385,12 @@ impl FamilyChecker {
         trace: Option<&TraceCtx>,
     ) -> Result<FamilyReport, PipelineError> {
         let mut an = Analyzer::new(&input.model);
+        let count_span = trace.map(|t| (t, t.begin("count")));
         let count = an.count_products_budgeted(COUNT_BUDGET);
+        if let Some((t, id)) = count_span {
+            t.add(id, "products", count.models);
+            t.finish(id);
+        }
         let mut stats = FamilyStats::default();
 
         let (lifted, fallback, findings) = match mode {
@@ -1174,5 +1180,35 @@ mod tests {
         assert_eq!(report.stats.witnesses_extracted, 1);
         assert_eq!(report.stats.products_checked, 1);
         assert!(report.stats.solver.solves > 0);
+    }
+
+    #[test]
+    fn traced_check_spans_the_product_count() {
+        use llhsc_obs::{TraceCtx, Tracer};
+        use std::sync::Arc;
+
+        let tracer = Arc::new(Tracer::zeroed());
+        let mut fam = FamilyChecker::with_options(&CheckOptions {
+            trace: Some(TraceCtx::new(Arc::clone(&tracer))),
+            ..CheckOptions::default()
+        });
+        let report = fam
+            .check(&quadcore::pipeline_input(), CheckMode::Family)
+            .expect("runs");
+        let spans = tracer.spans();
+        let family = spans
+            .iter()
+            .find(|s| s.name == "family_check")
+            .expect("family_check span");
+        let count: Vec<_> = spans.iter().filter(|s| s.name == "count").collect();
+        assert_eq!(count.len(), 1);
+        assert_eq!(count[0].parent, Some(family.id));
+        assert_eq!(count[0].counter("products"), Some(report.products));
+        // The count runs its own solvers, outside the family's solver
+        // totals, so those still count exactly the solve spans' calls.
+        let solves: Vec<_> = spans.iter().filter(|s| s.name == "solve").collect();
+        let sum = |key: &str| -> u64 { solves.iter().filter_map(|s| s.counter(key)).sum() };
+        assert_eq!(sum("solves"), report.stats.solver.solves);
+        assert_eq!(sum("conflicts"), report.stats.solver.conflicts);
     }
 }

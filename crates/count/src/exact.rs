@@ -1,17 +1,25 @@
 //! Bounded exact model counting via projected All-SAT.
 //!
 //! The workhorse is [`ModelIter::count_up_to`] — enumeration with
-//! blocking clauses, stopped at an explicit budget — but two
-//! decomposition shortcuts keep the enumeration small:
+//! blocking clauses, stopped at an explicit budget — but the formula is
+//! simplified first and two decomposition shortcuts keep the
+//! enumeration small:
 //!
-//! * **Free variables.** A projection variable that occurs in no clause
-//!   contributes an independent factor of 2 and is never enumerated.
-//! * **Connected components.** Variables are grouped by clause
-//!   co-occurrence (a union-find over every clause); projection
-//!   variables in different components are independent, so the
-//!   projected count is the *product* of per-component counts and each
-//!   component is enumerated separately. A formula with c components of
-//!   k models each costs `c·k` solver models instead of `k^c`.
+//! * **Root-level units.** Unit clauses are propagated to a fixpoint
+//!   over the clauses; clauses a fixed literal satisfies are dropped and
+//!   fixed-false literals stripped from the rest. A fixed projection
+//!   variable contributes a factor of 1. On a feature model this fixes
+//!   the asserted root, which would otherwise join every group below it
+//!   into one component.
+//! * **Free variables.** An unfixed projection variable that occurs in
+//!   no simplified clause contributes an independent factor of 2 and is
+//!   never enumerated.
+//! * **Connected components.** Variables are grouped by co-occurrence
+//!   in the simplified clauses (a union-find); projection variables in
+//!   different components are independent, so the projected count is
+//!   the *product* of per-component counts and each component is
+//!   enumerated separately. A formula with c components of k models each
+//!   costs `c·k` solver models instead of `k^c`.
 //!
 //! All counts saturate at `u64::MAX`.
 
@@ -25,10 +33,11 @@ pub struct ExactCount {
     pub models: u64,
     /// True when the budget sufficed and `models` is the exact count.
     pub exact: bool,
-    /// Connected components the projection split into.
+    /// Connected components the unfixed projection variables split
+    /// into.
     pub components: usize,
-    /// Projection variables occurring in no clause (counted as `2^k`
-    /// without enumeration).
+    /// Unfixed projection variables occurring in no simplified clause
+    /// (counted as `2^k` without enumeration).
     pub free_vars: usize,
     /// Models actually materialised by the solver.
     pub enumerated: u64,
@@ -85,6 +94,49 @@ impl Dsu {
     }
 }
 
+/// The values unit propagation over `cnf`'s clauses fixes at the root
+/// level, indexed by variable. Only the clauses are read, so the result
+/// is a function of the formula alone. A clause is revisited whenever
+/// one of its variables is fixed, so the fixpoint does not depend on
+/// clause order.
+fn root_units(cnf: &Cnf) -> Vec<Option<bool>> {
+    let clauses: Vec<&[Lit]> = cnf.clauses().collect();
+    let mut occurrences = vec![Vec::new(); cnf.num_vars()];
+    for (i, clause) in clauses.iter().enumerate() {
+        for l in *clause {
+            occurrences[l.var().index()].push(i);
+        }
+    }
+    let mut value = vec![None; cnf.num_vars()];
+    let mut pending: Vec<usize> = (0..clauses.len()).collect();
+    while let Some(i) = pending.pop() {
+        let mut open = None;
+        let mut unit = true;
+        for &l in clauses[i] {
+            match value[l.var().index()] {
+                Some(v) if v == l.is_positive() => {
+                    unit = false;
+                    break;
+                }
+                Some(_) => {}
+                None if open.is_none() || open == Some(l) => open = Some(l),
+                None => {
+                    unit = false;
+                    break;
+                }
+            }
+        }
+        // An all-false clause cannot occur: the caller has proved the
+        // formula satisfiable, and propagation only derives implied
+        // literals.
+        if let (true, Some(l)) = (unit, open) {
+            value[l.var().index()] = Some(l.is_positive());
+            pending.extend(occurrences[l.var().index()].iter().copied());
+        }
+    }
+    value
+}
+
 /// Counts the models of `cnf` projected onto `projection`, enumerating
 /// at most `budget` models in total across all components.
 ///
@@ -119,20 +171,35 @@ pub fn count_exact(cnf: &Cnf, projection: &[Lit], budget: u64) -> ExactCount {
         return result;
     }
 
-    // Group projection variables by clause-connectivity component.
+    // Group the unfixed projection variables by their connectivity in
+    // the unit-simplified clauses: satisfied clauses are dropped and
+    // fixed (false) literals join nothing.
+    let fixed = root_units(cnf);
     let mut dsu = Dsu::new(cnf.num_vars());
     let mut occurs = vec![false; cnf.num_vars()];
     for clause in cnf.clauses() {
-        for l in clause {
-            occurs[l.var().index()] = true;
+        if clause
+            .iter()
+            .any(|l| fixed[l.var().index()] == Some(l.is_positive()))
+        {
+            continue;
         }
-        for pair in clause.windows(2) {
-            dsu.union(pair[0].var().index(), pair[1].var().index());
+        let mut prev = None;
+        for l in clause.iter().filter(|l| fixed[l.var().index()].is_none()) {
+            let v = l.var().index();
+            occurs[v] = true;
+            if let Some(p) = prev {
+                dsu.union(p, v);
+            }
+            prev = Some(v);
         }
     }
 
     let mut groups: Vec<(usize, Vec<Var>)> = Vec::new();
     for &v in &vars {
+        if fixed[v.index()].is_some() {
+            continue;
+        }
         if !occurs[v.index()] {
             result.free_vars += 1;
             continue;
@@ -215,7 +282,61 @@ mod tests {
         assert_eq!(r.models, 4);
         assert!(r.exact);
         assert_eq!(r.free_vars, 2);
-        assert_eq!(r.enumerated, 1, "only the constrained component ran");
+        assert_eq!(r.components, 0, "the unit fixes a");
+        assert_eq!(r.enumerated, 0, "nothing is left to enumerate");
+    }
+
+    /// A feature-model shape: a unit root `r`, six children that each
+    /// require it, exactly one of x1..x3 and at least one of x4..x6.
+    /// Fixing the root splits the groups apart: 3 × 7 = 21 models from
+    /// 3 + 7 enumerated instead of 21 in one joined component.
+    #[test]
+    fn root_units_split_components() {
+        let mut cnf = Cnf::new();
+        let r = cnf.new_var();
+        let xs: Vec<Var> = (0..6).map(|_| cnf.new_var()).collect();
+        cnf.add_clause([Lit::pos(r)]);
+        for &x in &xs {
+            cnf.add_clause([Lit::neg(x), Lit::pos(r)]);
+        }
+        cnf.add_clause(lits(&xs[..3]));
+        for i in 0..3 {
+            for j in i + 1..3 {
+                cnf.add_clause([Lit::neg(xs[i]), Lit::neg(xs[j])]);
+            }
+        }
+        cnf.add_clause(lits(&xs[3..]));
+        let mut proj = vec![r];
+        proj.extend(&xs);
+        let r = count_exact(&cnf, &lits(&proj), 1_000);
+        assert_eq!(r.models, 21);
+        assert!(r.exact);
+        assert_eq!(r.components, 2);
+        assert_eq!(r.free_vars, 0);
+        assert_eq!(r.enumerated, 10);
+    }
+
+    /// Units that chain against the clause order: one pass over
+    /// `¬b ∨ c`, `¬a ∨ b`, `a` fixes only `a`, the fixpoint fixes all
+    /// three. None of them is free, and the count matches plain
+    /// enumeration.
+    #[test]
+    fn units_propagate_against_clause_order() {
+        let mut cnf = Cnf::new();
+        let vs: Vec<Var> = (0..4).map(|_| cnf.new_var()).collect();
+        let (a, b, c) = (vs[0], vs[1], vs[2]);
+        cnf.add_clause([Lit::neg(b), Lit::pos(c)]);
+        cnf.add_clause([Lit::neg(a), Lit::pos(b)]);
+        cnf.add_clause([Lit::pos(a)]);
+        let r = count_exact(&cnf, &lits(&vs), 1_000);
+        let mut s = cnf.to_solver();
+        let plain = ModelIter::projected(&mut s, vs).count_up_to(1_000);
+        assert_eq!(r.models, plain.models);
+        assert_eq!(r.models, 2);
+        assert!(r.exact && plain.is_exact());
+        assert_eq!(r.free_vars, 1, "only the unconstrained fourth variable");
+        assert_eq!(r.components, 0);
+        assert_eq!(r.enumerated, 0);
     }
 
     #[test]

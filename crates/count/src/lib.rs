@@ -13,9 +13,9 @@
 //! Three entry points:
 //!
 //! * [`count_exact`] — bounded exact counting via projected All-SAT
-//!   ([`llhsc_sat::ModelIter::count_up_to`]) with connected-component
-//!   decomposition and free-variable shortcuts, under an explicit
-//!   model budget.
+//!   ([`llhsc_sat::ModelIter::count_up_to`]) on the unit-simplified
+//!   formula, with connected-component decomposition and free-variable
+//!   shortcuts, under an explicit model budget.
 //! * [`approx_count`] — XOR-hash approximate `#SAT` with an (ε, δ)
 //!   guarantee: random parity constraints split the space into cells,
 //!   a binary search finds the density where one cell is exactly

@@ -1,8 +1,9 @@
 //! Property-based cross-checks for the counting and sampling stack:
 //!
-//! * bounded exact counting (with its decomposition shortcuts) agrees
-//!   with bit-mask brute force on random CNFs of up to 20 projection
-//!   variables;
+//! * bounded exact counting (with its unit simplification and
+//!   decomposition shortcuts) agrees with bit-mask brute force on
+//!   random CNFs of up to 20 projection variables, and on CNFs with
+//!   unit clauses projected onto a prefix of their variables;
 //! * the XOR-hash approximate count lands within its ε tolerance with
 //!   an observed failure rate bounded by δ across seeds;
 //! * sampled models are distinct, valid, and near-uniform (chi-square
@@ -25,6 +26,23 @@ fn arb_cnf() -> impl Strategy<Value = (usize, Vec<Vec<(usize, bool)>>)> {
         .prop_flat_map(|n| prop::collection::vec(arb_clause(n), 0..=12).prop_map(move |cs| (n, cs)))
 }
 
+/// Random CNFs over 8–14 variables plus 0–3 unit clauses, projected
+/// onto the first `k ≥ 1` variables: components then hold fixed and
+/// unprojected variables, which [`arb_cnf`] never produces.
+fn arb_projected_cnf() -> impl Strategy<Value = (usize, usize, Vec<Vec<(usize, bool)>>)> {
+    (8..=14usize).prop_flat_map(|n| {
+        (
+            1..=n,
+            prop::collection::vec(arb_clause(n), 0..=12),
+            prop::collection::vec((0..n, any::<bool>()), 0..=3),
+        )
+            .prop_map(move |(k, mut clauses, units)| {
+                clauses.extend(units.into_iter().map(|u| vec![u]));
+                (n, k, clauses)
+            })
+    })
+}
+
 /// Smaller instances for the approximate-count sweep, which runs many
 /// full (ε, δ) estimates per case and would otherwise dominate the
 /// suite's runtime.
@@ -45,6 +63,12 @@ fn build(n: usize, clauses: &[Vec<(usize, bool)>]) -> (Cnf, Vec<Lit>) {
 
 /// Exact model count by bit-mask enumeration of all `2^n` assignments.
 fn brute_force(n: usize, clauses: &[Vec<(usize, bool)>]) -> u64 {
+    brute_force_projected(n, n, clauses)
+}
+
+/// Distinct assignments to the first `k` variables that extend to a
+/// model, by bit-mask enumeration of all `2^n` assignments.
+fn brute_force_projected(n: usize, k: usize, clauses: &[Vec<(usize, bool)>]) -> u64 {
     let masks: Vec<(u32, u32)> = clauses
         .iter()
         .map(|c| {
@@ -60,16 +84,16 @@ fn brute_force(n: usize, clauses: &[Vec<(usize, bool)>]) -> u64 {
             (pos, neg)
         })
         .collect();
-    let mut count = 0u64;
+    let mut seen = vec![false; 1 << k];
     for assign in 0u32..(1u32 << n) {
         if masks
             .iter()
             .all(|&(pos, neg)| pos & assign != 0 || neg & !assign != 0)
         {
-            count += 1;
+            seen[(assign & ((1 << k) - 1)) as usize] = true;
         }
     }
-    count
+    seen.iter().filter(|&&s| s).count() as u64
 }
 
 proptest! {
@@ -134,6 +158,24 @@ proptest! {
             }
             prop_assert_eq!(s.solve(), llhsc_sat::SolveResult::Sat);
         }
+    }
+}
+
+proptest! {
+    // Cheap cases (at most 2^14 assignments each), so more of them.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Exact counting on a projected prefix, with units to fix, equals
+    /// the number of distinct projected assignments that extend to a
+    /// model.
+    #[test]
+    fn projected_count_with_units_matches_bruteforce((n, k, clauses) in arb_projected_cnf()) {
+        let (cnf, mut proj) = build(n, &clauses);
+        proj.truncate(k);
+        let expected = brute_force_projected(n, k, &clauses);
+        let r = count_exact(&cnf, &proj, 1 << 21);
+        prop_assert!(r.exact);
+        prop_assert_eq!(r.models, expected);
     }
 }
 

@@ -1,5 +1,6 @@
-//! Property tests: SAT-based product enumeration and §IV-A resource
-//! allocation against brute-force semantics of random feature models.
+//! Property tests: SAT-based product enumeration, product counting and
+//! §IV-A resource allocation against brute-force semantics of random
+//! feature models.
 
 use std::collections::BTreeSet;
 
@@ -239,6 +240,16 @@ proptest! {
         let got: BTreeSet<BTreeSet<FeatureId>> =
             an.products().into_iter().collect();
         prop_assert_eq!(got, expected);
+    }
+
+    /// The budgeted product count is exact and equals the number of
+    /// brute-force products.
+    #[test]
+    fn count_matches_rules((fm, _ids) in arb_model()) {
+        let expected = brute_force_products(&fm).len() as u64;
+        let c = Analyzer::new(&fm).count_products_budgeted(1 << 16);
+        prop_assert!(c.exact && !c.approximate);
+        prop_assert_eq!(c.models, expected);
     }
 
     /// `is_valid` agrees with rule semantics on arbitrary selections.
