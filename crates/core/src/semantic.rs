@@ -9,15 +9,20 @@
 //! ```
 //!
 //! i.e. no address belongs to two regions. Z3 decides this by
-//! bit-blasting; our [`llhsc_smt`] context does exactly the same. Each
-//! pairwise disjointness constraint is guarded by a marker assumption,
-//! so the unsat core names the colliding pair, and a follow-up query
-//! asks the solver for a *witness address* inside the intersection —
+//! bit-blasting; our [`llhsc_smt`] context does the same, one disjunct
+//! at a time. The [`sweep`] prefilter finds exactly the pairs whose
+//! ranges intersect. For each, the solver refutes "the larger of the
+//! two bases lies outside one of the regions" with only that pair's
+//! region bindings active. The `Unsat` verdict is the collision, and
+//! the base it proves to lie in both regions is the *witness address*:
 //! the "counter example of consistency" the paper gets from Z3.
 //!
-//! Addresses are encoded as 65-bit vectors: the widest well-formed
-//! DeviceTree addresses are 64-bit (2 address cells) and `b + s` of a
-//! region ending at the top of the address space must not wrap.
+//! Address terms are 65 bits wide: the widest 2-cell addresses are 64
+//! bits, and `b + s` of a region ending at the top of that space must
+//! not wrap. 3- and 4-cell addresses widen the collision check's terms
+//! up to 128 bits, as far as the participating regions' ends need; a
+//! region that wraps past 2^128 ends at its saturated
+//! [`RegEntry::end`]. Coverage queries stay at 65 bits.
 
 use llhsc_dts::cells::{collect_regions, collect_regions_translated, RegEntry};
 use llhsc_dts::{DeviceTree, DtsError};
@@ -30,8 +35,9 @@ use llhsc_smt::{
 
 use crate::sweep;
 
-/// Bit width used for address terms (64-bit addresses + 1 carry bit).
-pub const ADDR_BITS: u32 = 65;
+/// Bit width of coverage queries and the least width of collision
+/// queries: 64-bit addresses plus 1 carry bit.
+const ADDR_BITS: u32 = 65;
 
 /// `compatible` strings identifying *virtual* devices. Their regions
 /// live in guest RAM by design (shared-memory IPC, Listing 6), so they
@@ -297,86 +303,48 @@ impl SemanticChecker {
         Ok(refs)
     }
 
-    /// Verifies pairwise disjointness of explicit regions via the
-    /// bit-vector encoding of formula (7).
+    /// Verifies pairwise disjointness of explicit regions: formula (7),
+    /// decided pair by pair.
     ///
-    /// Pairs are pruned by the [`sweep`] prefilter first: only pairs
-    /// whose ranges actually intersect are encoded, and each surviving
-    /// pair is still confirmed by the solver with a witness address —
-    /// the result is identical to [`check_regions_exhaustive`], which
-    /// encodes every pair as the paper does.
-    ///
-    /// [`check_regions_exhaustive`]: SemanticChecker::check_regions_exhaustive
+    /// The [`sweep`] prefilter finds exactly the pairs whose ranges
+    /// intersect; every other pair is disjoint by interval arithmetic
+    /// and never reaches the solver. Each candidate is then confirmed
+    /// by one pair-local solver refutation that also proves its witness
+    /// address, so the solver work is linear in the number of
+    /// overlapping pairs.
     pub fn check_regions(&mut self, refs: &[RegionRef]) -> Vec<Collision> {
         self.check_regions_with_stats(refs).0
     }
 
     /// [`check_regions`](SemanticChecker::check_regions), also
     /// returning the encoding and solver counters of the run.
+    ///
+    /// Each region of a candidate pair is bound in its own slice, keyed
+    /// by the region's index and content. For a pair, let `k` be the
+    /// region with the larger base (`i` on ties) and `m` the other.
+    /// With only those two slices active, the solver refutes
+    /// `¬(b_k < e_k ∧ b_m ≤ b_k ∧ b_k < e_m)`: `Unsat` proves that
+    /// `b_k = max(bᵢ, bⱼ)` lies in both regions, so one solve yields
+    /// the collision and its witness, and under certification one DRAT
+    /// proof covers both. The comparisons range over the index-keyed
+    /// `base_i`/`end_i` only, so their gate networks are bit-blasted
+    /// once and reused by every later tree in which the same two
+    /// indices pair up again.
     pub fn check_regions_with_stats(
         &mut self,
         refs: &[RegionRef],
     ) -> (Vec<Collision>, RegionCheckStats) {
-        self.solve_pairs(refs, &sweep::candidate_pairs(refs))
-    }
-
-    /// The unpruned quadratic encoding: one guarded disjointness
-    /// constraint per region pair, exactly as formula (7) is stated.
-    /// Kept as the semantic reference the sweep-prefiltered path is
-    /// cross-checked against (`prop_semantic`, `sweep_scale`).
-    pub fn check_regions_exhaustive(&mut self, refs: &[RegionRef]) -> Vec<Collision> {
-        self.check_regions_exhaustive_with_stats(refs).0
-    }
-
-    /// [`check_regions_exhaustive`], also returning run counters.
-    ///
-    /// [`check_regions_exhaustive`]: SemanticChecker::check_regions_exhaustive
-    pub fn check_regions_exhaustive_with_stats(
-        &mut self,
-        refs: &[RegionRef],
-    ) -> (Vec<Collision>, RegionCheckStats) {
-        let mut pairs = Vec::new();
-        for i in 0..refs.len() {
-            for j in (i + 1)..refs.len() {
-                // Physical regions must be mutually disjoint; so must
-                // virtual regions. A virtual region may alias a physical
-                // one (it is backed by that RAM). Zero-sized regions
-                // contain no address, so formula (7)'s ∃x can never
-                // land inside one.
-                if refs[i].virtual_device == refs[j].virtual_device
-                    && refs[i].region.size != 0
-                    && refs[j].region.size != 0
-                {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        self.solve_pairs(refs, &pairs)
-    }
-
-    /// Shared encoding + core-peeling loop over the persistent session:
-    /// the disjointness gate networks range over indexed symbolic
-    /// variables (`base_i`/`end_i`), so they are bit-blasted once and
-    /// reused by every subsequent tree; only this tree's concrete
-    /// region bindings are fresh, asserted inside a content-keyed
-    /// assumption slice. The unsat core is peeled until satisfiable,
-    /// extracting a canonical witness per collision.
-    fn solve_pairs(
-        &mut self,
-        refs: &[RegionRef],
-        pairs: &[(usize, usize)],
-    ) -> (Vec<Collision>, RegionCheckStats) {
+        let pairs = sweep::candidate_pairs(refs);
+        let mut stats = RegionCheckStats {
+            regions: refs.len(),
+            pairs_considered: pair_count(refs.len()),
+            pairs_encoded: pairs.len(),
+            ..RegionCheckStats::default()
+        };
         // A board the prefilter fully discharged costs nothing: no
         // slice, no guard variable, no solver contact.
         if pairs.is_empty() {
-            return (
-                Vec::new(),
-                RegionCheckStats {
-                    regions: refs.len(),
-                    pairs_considered: pair_count(refs.len()),
-                    ..RegionCheckStats::default()
-                },
-            );
+            return (Vec::new(), stats);
         }
         if let Some(trace) = &self.trace {
             self.session.ctx_mut().set_trace(trace.clone());
@@ -385,141 +353,113 @@ impl SemanticChecker {
         let terms_before = self.session.ctx().num_terms();
         let (hits_before, misses_before) = self.session.ctx().encode_counts();
 
-        // This tree's slice: binds `base_i`/`end_i` to the concrete
-        // regions. Keyed by the participating regions' content, so a
-        // warm repeat of the same tree re-activates the existing slice
-        // without encoding anything.
-        let mut participates = vec![false; refs.len()];
-        for &(i, j) in pairs {
-            participates[i] = true;
-            participates[j] = true;
-        }
-        let mut content: Vec<u8> = b"pairs".to_vec();
-        for (i, p) in participates.iter().enumerate() {
-            if !*p {
-                continue;
-            }
-            content.extend_from_slice(&(i as u64).to_le_bytes());
-            content.extend_from_slice(&refs[i].region.address.to_le_bytes());
-            content.extend_from_slice(&refs[i].region.size.to_le_bytes());
-        }
-        let slice = self.session.slice(slice_key(&content));
-
-        // Encode base and end of every region that participates in at
-        // least one candidate pair as 65-bit constants bound to
-        // variables (so the gate networks of the comparisons are real,
-        // as in the paper's Z3 encoding, rather than folded away).
-        // Regions the prefilter proved disjoint are never encoded — on
-        // a clean board nothing new enters the solver.
-        let mut terms: Vec<Option<(TermId, TermId)>> = vec![None; refs.len()];
-        fn encode(
-            session: &mut SolverSession,
-            slice: Slice,
-            refs: &[RegionRef],
-            terms: &mut [Option<(TermId, TermId)>],
-            i: usize,
-        ) -> (TermId, TermId) {
-            if let Some(t) = terms[i] {
-                return t;
-            }
-            let r = &refs[i];
-            let ctx = session.ctx_mut();
-            let base = ctx.bv_var_i("base", i as u64, ADDR_BITS);
-            let end = ctx.bv_var_i("end", i as u64, ADDR_BITS);
-            let bc = ctx.bv_const(r.region.address, ADDR_BITS);
-            let size = ctx.bv_const(r.region.size, ADDR_BITS);
-            let sum = ctx.bv_add(bc, size);
-            let eb = ctx.eq(base, bc);
-            let ee = ctx.eq(end, sum);
-            session.assert_in(slice, eb);
-            session.assert_in(slice, ee);
-            terms[i] = Some((base, end));
-            (base, end)
-        }
-
-        // One marker-guarded disjointness constraint per candidate
-        // pair, asserted at the session's root: the constraint is over
-        // the symbolic `base_i`/`end_i` only, so it is shared (and its
-        // encoding reused) across every tree whose pair `(i, j)`
-        // survives the prefilter. Solve once and peel the unsat core
-        // until satisfiable.
-        let mut markers: Vec<(TermId, usize, usize)> = Vec::new();
-        for &(i, j) in pairs {
-            let (bi, ei) = encode(&mut self.session, slice, refs, &mut terms, i);
-            let (bj, ej) = encode(&mut self.session, slice, refs, &mut terms, j);
-            let ctx = self.session.ctx_mut();
-            let m = ctx.bool_var_i("disjoint", ((i as u64) << 32) | j as u64);
-            // overlap = bi < ej && bj < ei  (non-empty regions)
-            let o1 = ctx.bv_ult(bi, ej);
-            let o2 = ctx.bv_ult(bj, ei);
-            let overlap = ctx.and([o1, o2]);
-            let disjoint = ctx.not(overlap);
-            let guarded = ctx.implies(m, disjoint);
-            self.session.assert_root(guarded);
-            markers.push((m, i, j));
-        }
-
+        let width = addr_width(
+            pairs
+                .iter()
+                .flat_map(|&(i, j)| [&refs[i].region, &refs[j].region]),
+        );
+        let mut bindings: Vec<Option<Binding>> = vec![None; refs.len()];
         let mut collisions = Vec::new();
-        let mut active = markers;
-        loop {
-            let assumptions: Vec<TermId> = active.iter().map(|(m, _, _)| *m).collect();
-            if assumptions.is_empty() {
-                break;
-            }
-            match self.session.check(&[slice], &assumptions) {
-                CheckResult::Sat => break,
-                CheckResult::Unsat => {
-                    let core: Vec<TermId> = self.session.unsat_core().to_vec();
-                    let (bad, rest): (Vec<_>, Vec<_>) =
-                        active.into_iter().partition(|(m, _, _)| core.contains(m));
-                    if bad.is_empty() {
-                        break;
-                    }
-                    for (_, i, j) in &bad {
-                        let witness = witness_address(
-                            &mut self.session,
-                            slice,
-                            terms[*i].expect("paired region is encoded"),
-                            terms[*j].expect("paired region is encoded"),
-                            refs[*i].region.address.max(refs[*j].region.address),
-                        );
-                        collisions.push(Collision {
-                            a: refs[*i].clone(),
-                            b: refs[*j].clone(),
-                            witness,
-                        });
-                    }
-                    active = rest;
-                }
+        for &(i, j) in &pairs {
+            let bi = bind_region(&mut self.session, &mut bindings, refs, i, width);
+            let bj = bind_region(&mut self.session, &mut bindings, refs, j, width);
+            let (k, bk, bm) = if refs[j].region.address > refs[i].region.address {
+                (j, bj, bi)
+            } else {
+                (i, bi, bj)
+            };
+            let ctx = self.session.ctx_mut();
+            let in_k = ctx.bv_ult(bk.base, bk.end);
+            let from_m = ctx.bv_ule(bm.base, bk.base);
+            let below_m = ctx.bv_ult(bk.base, bm.end);
+            let inside = ctx.and([in_k, from_m, below_m]);
+            let outside = ctx.not(inside);
+            match self.session.check(&[bi.slice, bj.slice], &[outside]) {
+                // The slice binds `b_k` to region k's base, so the
+                // refutation proves that very address lies in both.
+                CheckResult::Unsat => collisions.push(Collision {
+                    a: refs[i].clone(),
+                    b: refs[j].clone(),
+                    witness: refs[k].region.address,
+                }),
+                CheckResult::Sat => {}
             }
         }
         collisions.sort_by(|x, y| {
-            (x.a.path.clone(), x.a.index, x.b.path.clone(), x.b.index).cmp(&(
-                y.a.path.clone(),
-                y.a.index,
-                y.b.path.clone(),
-                y.b.index,
-            ))
+            (&x.a.path, x.a.index, &x.b.path, x.b.index)
+                .cmp(&(&y.a.path, y.a.index, &y.b.path, y.b.index))
         });
         let (hits_now, misses_now) = self.session.ctx().encode_counts();
-        let stats = RegionCheckStats {
-            regions: refs.len(),
-            pairs_considered: pair_count(refs.len()),
-            pairs_encoded: pairs.len(),
-            terms: self.session.ctx().num_terms() - terms_before,
-            terms_encoded: misses_now - misses_before,
-            terms_reused: hits_now - hits_before,
-            solver: self
-                .session
-                .ctx()
-                .solver_stats()
-                .delta_since(&solver_before),
-        };
+        stats.terms = self.session.ctx().num_terms() - terms_before;
+        stats.terms_encoded = misses_now - misses_before;
+        stats.terms_reused = hits_now - hits_before;
+        stats.solver = self
+            .session
+            .ctx()
+            .solver_stats()
+            .delta_since(&solver_before);
         if self.trace.is_some() {
             self.session.ctx_mut().clear_trace();
         }
         (collisions, stats)
     }
+}
+
+/// Width of the collision check's address terms for the participating
+/// regions: [`ADDR_BITS`] unless some region's end needs more bits, up
+/// to 128 for the 3- and 4-cell addresses `MAX_CELLS` admits. Every
+/// base and end then fits, so the comparisons are exact.
+fn addr_width<'r>(regions: impl IntoIterator<Item = &'r RegEntry>) -> u32 {
+    regions
+        .into_iter()
+        .map(|r| u128::BITS - r.end().leading_zeros())
+        .fold(ADDR_BITS, u32::max)
+}
+
+/// One region's slice and its symbolic base and end.
+#[derive(Debug, Clone, Copy)]
+struct Binding {
+    slice: Slice,
+    base: TermId,
+    end: TermId,
+}
+
+/// Binds region `i`'s symbolic `base_i`/`end_i` to its base and
+/// saturated [`RegEntry::end`] inside a slice keyed by the region's
+/// index, content and term width, once per check. Binding constants to
+/// variables keeps the comparison gate networks real, as in the paper's
+/// Z3 encoding, rather than folded away; a warm repeat of the same
+/// region at the same width re-activates the existing slice without
+/// encoding anything.
+fn bind_region(
+    session: &mut SolverSession,
+    bindings: &mut [Option<Binding>],
+    refs: &[RegionRef],
+    i: usize,
+    width: u32,
+) -> Binding {
+    if let Some(b) = bindings[i] {
+        return b;
+    }
+    let r = &refs[i].region;
+    let mut content: Vec<u8> = b"region".to_vec();
+    content.extend_from_slice(&(i as u64).to_le_bytes());
+    content.extend_from_slice(&r.address.to_le_bytes());
+    content.extend_from_slice(&r.end().to_le_bytes());
+    content.extend_from_slice(&width.to_le_bytes());
+    let slice = session.slice(slice_key(&content));
+    let ctx = session.ctx_mut();
+    let base = ctx.bv_var_i("base", i as u64, width);
+    let end = ctx.bv_var_i("end", i as u64, width);
+    let bc = ctx.bv_const(r.address, width);
+    let ec = ctx.bv_const(r.end(), width);
+    let eb = ctx.eq(base, bc);
+    let ee = ctx.eq(end, ec);
+    session.assert_in(slice, eb);
+    session.assert_in(slice, ee);
+    let b = Binding { slice, base, end };
+    bindings[i] = Some(b);
+    b
 }
 
 /// `n·(n−1)/2` without the intermediate `n·(n−1)` product: dividing the
@@ -719,44 +659,6 @@ impl SemanticChecker {
     }
 }
 
-/// Asks the solver for an address inside both regions — the paper's
-/// counterexample extraction ("a counter example of consistency is
-/// produced by Z3").
-///
-/// `candidate` is the intersection's lowest address (`max` of the two
-/// bases), computed arithmetically; the solve *confirms* it lies in
-/// both regions under the slice's symbolic bindings and the reported
-/// witness is read back from the model. Pinning the value makes the
-/// witness a pure function of the two regions — a persistent session
-/// accumulates decision history, so an unpinned model value would vary
-/// with solver warm-up and session-reuse runs would not be
-/// byte-identical to fresh-context runs.
-fn witness_address(
-    session: &mut SolverSession,
-    slice: Slice,
-    a: (TermId, TermId),
-    b: (TermId, TermId),
-    candidate: u128,
-) -> u128 {
-    let (ba, ea) = a;
-    let (bb, eb) = b;
-    let ctx = session.ctx_mut();
-    let x = ctx.bv_var("witness_x", ADDR_BITS);
-    let c1 = ctx.bv_ule(ba, x);
-    let c2 = ctx.bv_ult(x, ea);
-    let c3 = ctx.bv_ule(bb, x);
-    let c4 = ctx.bv_ult(x, eb);
-    let cand = ctx.bv_const(candidate, ADDR_BITS);
-    let pin = ctx.eq(x, cand);
-    match session.check(&[slice], &[c1, c2, c3, c4, pin]) {
-        CheckResult::Sat => session
-            .model()
-            .and_then(|m| m.eval_bv(x))
-            .expect("witness variable has a value"),
-        CheckResult::Unsat => u128::MAX, // cannot happen for a real overlap
-    }
-}
-
 /// The *smallest* value of bit-vector `x` (of [`ADDR_BITS`] width)
 /// satisfying the slices + assumptions, found by fixing bits MSB→LSB;
 /// `u128::MAX` when unsatisfiable.
@@ -764,8 +666,9 @@ fn witness_address(
 /// Model-guided: a bit is only queried when the current model sets it
 /// to 1 (the model itself proves a 0 bit can stay 0 under the fixed
 /// prefix), so the solve count is bounded by the 1-bits encountered,
-/// not the width. As with [`witness_address`], minimizing makes the
-/// witness independent of the session's accumulated decision history.
+/// not the width. Minimizing makes the witness independent of the
+/// session's accumulated decision history, so session-reuse runs stay
+/// byte-identical to fresh-context runs.
 fn minimized_value(
     session: &mut SolverSession,
     slices: &[Slice],
@@ -1000,9 +903,8 @@ mod tests {
     fn certified_checker_proves_collision_verdicts() {
         use llhsc_sat::{check_drat, CheckMode};
 
-        // A collision makes the disjointness assumptions UNSAT, and the
-        // witness minimization adds further UNSAT probes — every one
-        // must produce (and pass) a DRAT certificate.
+        // A collision is exactly one UNSAT refutation, which proves the
+        // witness too; it must produce (and pass) a DRAT certificate.
         let t = parse(
             r#"/ {
                 #address-cells = <2>;
@@ -1023,7 +925,7 @@ mod tests {
         let (r, _stats) = checker.check_tree_with_stats(&t).unwrap();
         assert_eq!(r.collisions.len(), 1, "{:?}", r.collisions);
         let cert = checker.cert_stats();
-        assert!(cert.proofs > 0, "the UNSAT verdict must carry a proof");
+        assert_eq!(cert.proofs, 1, "the UNSAT verdict must carry a proof");
         assert!(cert.checked > 0);
         let (cnf, proof) = checker.export_proof().expect("certifying checker exports");
         assert!(check_drat(&cnf, &proof, CheckMode::Last).is_ok());
@@ -1187,6 +1089,98 @@ mod tests {
             },
         ];
         assert!(SemanticChecker::new().check_regions(&refs).is_empty());
+    }
+
+    #[test]
+    fn wrapping_four_cell_region_still_collides() {
+        // `a` wraps past 2^128 and `b` starts inside it: both the wrap
+        // and the collision are findings. The sweep must saturate `a`'s
+        // end as `RegEntry::end` does; an unchecked `address + size`
+        // panics in debug builds and wraps to a low end in release.
+        let t = parse(
+            r#"/ {
+                #address-cells = <4>;
+                #size-cells = <4>;
+                a@0 { reg = <0xffffffff 0xffffffff 0xffffffff 0xfffff000  0 0 0 0x2000>; };
+                b@0 { reg = <0xffffffff 0xffffffff 0xffffffff 0xfffff800  0 0 0 0x100>; };
+            };"#,
+        )
+        .unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        assert_eq!(r.wrapping.len(), 1, "{:?}", r.wrapping);
+        assert_eq!(r.wrapping[0].path, "/a@0");
+        assert_eq!(r.collisions.len(), 1, "{:?}", r.collisions);
+        assert_eq!(r.collisions[0].a.path, "/a@0");
+        assert_eq!(r.collisions[0].b.path, "/b@0");
+        assert_eq!(r.collisions[0].witness, u128::MAX - 0x7ff);
+    }
+
+    #[test]
+    fn three_cell_addresses_are_not_truncated() {
+        // `b` starts inside `a` at 2^65. Masked to 65 bits, `b` would
+        // start at 0 and `a` would end at 0x800, and the solver would
+        // overrule the sweep's exact overlap.
+        let t = parse(
+            r#"/ {
+                #address-cells = <3>;
+                #size-cells = <1>;
+                a@0 { reg = <0x1 0xffffffff 0xfffff800 0x1000>; };
+                b@0 { reg = <0x2 0x0 0x0 0x100>; };
+            };"#,
+        )
+        .unwrap();
+        let (r, stats) = SemanticChecker::new().check_tree_with_stats(&t).unwrap();
+        assert_eq!(r.collisions.len(), 1, "{:?}", r.collisions);
+        assert_eq!(r.collisions[0].witness, 1 << 65);
+        assert_eq!(stats.solver.solves, 1);
+    }
+
+    #[test]
+    fn addr_width_grows_only_past_65_bits() {
+        let w = |rs: &[RegEntry]| addr_width(rs);
+        assert_eq!(w(&[]), 65);
+        assert_eq!(w(&[RegEntry::new(u128::from(u64::MAX), 1 << 64)]), 65);
+        assert_eq!(w(&[RegEntry::new(1 << 65, 0x100)]), 66);
+        assert_eq!(w(&[RegEntry::new(u128::MAX - 0xfff, 0x2000)]), 128);
+    }
+
+    /// `n` regions at disjoint 64 KiB strides, the first `2·pairs` of
+    /// them as two-region chains: each odd region starts half-way into
+    /// the even one before it.
+    fn chained_board(n: u128, pairs: u128) -> Vec<RegionRef> {
+        (0..n)
+            .map(|i| {
+                let mut base = 0x1000_0000 + i * 0x1_0000;
+                if i % 2 == 1 && i < 2 * pairs {
+                    base -= 0x1_0000 - 0x800;
+                }
+                RegionRef {
+                    path: format!("/dev@{base:x}"),
+                    index: 0,
+                    region: RegEntry::new(base, 0x1000),
+                    virtual_device: false,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn solver_work_is_linear_in_overlapping_pairs() {
+        // One refutation per pair, each propagating only its own two
+        // regions: 4x the pairs must cost about 4x the propagations.
+        let mut propagations = Vec::new();
+        for pairs in [6, 24, 96] {
+            let refs = chained_board(256, pairs);
+            let (collisions, stats) = SemanticChecker::new().check_regions_with_stats(&refs);
+            assert_eq!(collisions.len() as u128, pairs);
+            assert_eq!(stats.pairs_encoded as u128, pairs);
+            assert_eq!(stats.solver.solves, stats.pairs_encoded as u64);
+            propagations.push(stats.solver.propagations);
+        }
+        assert!(
+            propagations[2] <= 5 * propagations[1],
+            "propagations for 6/24/96 pairs: {propagations:?}"
+        );
     }
 
     #[test]

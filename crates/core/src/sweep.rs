@@ -9,22 +9,25 @@
 //! left to right, and compare each region only against the *active
 //! set* of regions whose end lies beyond the current base.
 //!
-//! The candidate predicate mirrors the SMT encoding bit for bit:
-//! a non-empty pair `(i, j)` overlaps iff `bᵢ < eⱼ ∧ bⱼ < eᵢ` with
-//! `e = b + s` evaluated at full width (no 64-bit truncation — `u128`
-//! holds the 65-bit sums exactly, matching the checker's `ADDR_BITS`
-//! headroom). Zero-sized regions contain no address, so formula (7)'s
+//! The candidate predicate is [`RegEntry::overlaps`]: a non-empty pair
+//! `(i, j)` overlaps iff `bᵢ < eⱼ ∧ bⱼ < eᵢ`, with `e` the saturated
+//! [`RegEntry::end`]. A 4-cell region whose `b + s` wraps past 2^128
+//! therefore ends at `u128::MAX` here and in the solver's bindings
+//! alike, and stays in the active set for every region that starts
+//! inside it. Zero-sized regions contain no address, so formula (7)'s
 //! `∃x` can never pick one inside them — they are never paired.
 //! Regions in different virtuality classes are never paired either,
 //! exactly as [`SemanticChecker::check_regions`] skips them.
 //!
 //! The sweep only *prunes*: every surviving pair is still encoded and
-//! confirmed by the solver, which also produces the witness address —
-//! the counterexample semantics of the paper are unchanged. On a clean
-//! board the sweep leaves nothing to encode and the solver is never
-//! invoked.
+//! confirmed by the solver, whose refutation also proves the witness
+//! address — the counterexample semantics of the paper are unchanged.
+//! On a clean board the sweep leaves nothing to encode and the solver
+//! is never invoked.
 //!
 //! [`SemanticChecker::check_regions`]: crate::SemanticChecker::check_regions
+//! [`RegEntry::overlaps`]: llhsc_dts::cells::RegEntry::overlaps
+//! [`RegEntry::end`]: llhsc_dts::cells::RegEntry::end
 
 use crate::semantic::RegionRef;
 
@@ -65,9 +68,9 @@ pub fn candidate_pairs(refs: &[RegionRef]) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// `[base, base + size)` at full `u128` width.
+/// `[base, end)` with the end saturated at `u128::MAX`.
 fn span(r: &RegionRef) -> (u128, u128) {
-    (r.region.address, r.region.address + r.region.size)
+    (r.region.address, r.region.end())
 }
 
 #[cfg(test)]
@@ -89,8 +92,8 @@ mod tests {
         a.virtual_device == b.virtual_device
             && a.region.size != 0
             && b.region.size != 0
-            && a.region.address < b.region.address + b.region.size
-            && b.region.address < a.region.address + a.region.size
+            && a.region.address < b.region.end()
+            && b.region.address < a.region.end()
     }
 
     fn exhaustive(refs: &[RegionRef]) -> Vec<(usize, usize)> {
@@ -154,6 +157,20 @@ mod tests {
         // the sweep must not wrap (the SMT encoding does not).
         let refs = vec![region(0xffff_ffff_ffff_f000, 0x1000), region(0x0, 0x1000)];
         assert!(candidate_pairs(&refs).is_empty());
+    }
+
+    #[test]
+    fn wrapping_region_stays_active() {
+        // 4-cell addresses: `a`'s base + size wraps past 2^128. Its end
+        // saturates at u128::MAX, so it neither overflows nor leaves the
+        // active set before `b`, which starts inside it.
+        let refs = vec![
+            region(u128::MAX - 0xfff, 0x2000),
+            region(u128::MAX - 0x7ff, 0x100),
+        ];
+        assert!(refs[0].region.wraps());
+        assert_eq!(candidate_pairs(&refs), vec![(0, 1)]);
+        assert_eq!(candidate_pairs(&refs), exhaustive(&refs));
     }
 
     #[test]

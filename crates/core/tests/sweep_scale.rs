@@ -1,6 +1,8 @@
 //! The headline property of the sweep prefilter: collision-free
 //! boards cost the solver nothing, regardless of region count.
 
+mod support;
+
 use llhsc::{RegionRef, SemanticChecker};
 use llhsc_dts::cells::RegEntry;
 
@@ -53,9 +55,8 @@ fn prefiltered_collisions_match_exhaustive_at_scale() {
     refs[10].region = RegEntry::new(refs[9].region.address + 0x100, 0x2000);
     refs[40].region = RegEntry::new(refs[41].region.address, 0x1000);
     refs[63].region = RegEntry::new(refs[0].region.address, 0x80000);
-    let mut checker = SemanticChecker::new();
-    let pre = checker.check_regions(&refs);
-    let ex = checker.check_regions_exhaustive(&refs);
+    let pre = SemanticChecker::new().check_regions(&refs);
+    let ex = support::check_regions_exhaustive(&refs);
     let key = |cs: &[llhsc::Collision]| -> Vec<(String, usize, String, usize)> {
         cs.iter()
             .map(|c| (c.a.path.clone(), c.a.index, c.b.path.clone(), c.b.index))
