@@ -469,47 +469,68 @@ SERVE3_PID=""
 # three times. Every run must exit 0 and end `: ok`, and the median time
 # of the larger board must stay under 8 times that of the smaller: 4
 # times the devices, where a pass quadratic in the board reads about 16.
+# The 6 000-device board is also written as a main file whose root body
+# `/include/`s a .dtsi holding the devices: checking it must print exactly
+# what the single file prints, under the same 8x bound.
 python3 - "$LLHSC" "$SMOKE_DIR" <<'EOF'
 import statistics, subprocess, sys, time
 
 llhsc, d = sys.argv[1], sys.argv[2]
 
+def write(name, lines):
+    path = f"{d}/{name}"
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return path
+
 def board(n):
-    lines = [
+    head = [
         "/dts-v1/;", "/ {", "\t#address-cells = <1>;", "\t#size-cells = <1>;",
         "\tmemory@80000000 { device_type = \"memory\"; reg = <0x80000000 0x40000000>; };",
         "\tcpus {", "\t\t#address-cells = <1>;", "\t\t#size-cells = <0>;",
     ]
     for cpu in range(2):
-        lines.append(f"\t\tcpu@{cpu} {{ compatible = \"arm,cortex-a53\"; device_type = \"cpu\"; "
-                     f"enable-method = \"psci\"; reg = <{cpu:#x}>; }};")
-    lines.append("\t};")
+        head.append(f"\t\tcpu@{cpu} {{ compatible = \"arm,cortex-a53\"; device_type = \"cpu\"; "
+                    f"enable-method = \"psci\"; reg = <{cpu:#x}>; }};")
+    head.append("\t};")
+    devices = []
     for i in range(n):
         kind = ("dev", "timer", "gpio", "dma")[i % 4]
         base = 0x10000000 + 2 * i * 0x1000
-        lines.append(f"\t{kind}{i}@{base:x} {{ compatible = \"acme,{kind}\"; "
-                     f"reg = <{base:#x} 0x1000>; interrupts = <{32 + i}>; }};")
-    lines.append("};")
-    path = f"{d}/scale{n}.dts"
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    return path
+        devices.append(f"\t{kind}{i}@{base:x} {{ compatible = \"acme,{kind}\"; "
+                       f"reg = <{base:#x} 0x1000>; interrupts = <{32 + i}>; }};")
+    single = write(f"scale{n}.dts", head + devices + ["};"])
+    write(f"scale{n}-devices.dtsi", devices)
+    split = write(f"scale{n}-include.dts",
+                  head + [f"\t/include/ \"scale{n}-devices.dtsi\"", "};"])
+    return single, split
 
-medians = {}
-for n in (1500, 6000):
-    path = board(n)
-    times = []
+def timed(path):
+    times, outputs = [], set()
     for _ in range(3):
         started = time.perf_counter()
         run = subprocess.run([llhsc, "check", path], capture_output=True, text=True)
         times.append(time.perf_counter() - started)
-        assert run.returncode == 0, (n, run.returncode, run.stderr)
-        assert run.stdout.rstrip().endswith(": ok"), (n, run.stdout)
-    medians[n] = statistics.median(times) * 1000
-ratio = medians[6000] / medians[1500]
-assert ratio < 8, f"6000-device check {ratio:.1f}x the 1500-device one: {medians}"
+        assert run.returncode == 0, (path, run.returncode, run.stderr)
+        assert run.stdout.rstrip().endswith(": ok"), (path, run.stdout)
+        outputs.add((run.stdout, run.stderr))
+    assert len(outputs) == 1, (path, outputs)
+    return statistics.median(times) * 1000, outputs.pop()
+
+medians = {}
+small, _ = board(1500)
+medians[1500], _ = timed(small)
+single, split = board(6000)
+medians[6000], single_out = timed(single)
+medians["include"], split_out = timed(split)
+assert split_out == single_out, (split_out, single_out)
+for key in (6000, "include"):
+    ratio = medians[key] / medians[1500]
+    assert ratio < 8, f"{key} check {ratio:.1f}x the 1500-device one: {medians}"
 print(f"scaling ok: {medians[1500]:.1f} ms at 1500 devices, "
-      f"{medians[6000]:.1f} ms at 6000 ({ratio:.1f}x)")
+      f"{medians[6000]:.1f} ms at 6000 ({medians[6000] / medians[1500]:.1f}x), "
+      f"{medians['include']:.1f} ms through /include/ "
+      f"({medians['include'] / medians[1500]:.1f}x)")
 EOF
 
 # Overlap-scaling smoke: each address collision costs one pair-local

@@ -49,7 +49,7 @@ use llhsc_smt::{
 use crate::cache::{CacheClass, CacheEntry, PipelineCache};
 use crate::pipeline::{PipelineError, PipelineInput};
 use crate::report::{dedup_diagnostics, Diagnostic, Stage};
-use crate::semantic::{interrupt_users, RegionRef, SemanticChecker};
+use crate::semantic::{shared_interrupt_lines, RegionRef, SemanticChecker};
 use crate::sweep;
 
 /// How a family verdict is computed.
@@ -494,10 +494,7 @@ impl FamilyChecker {
 
         // Interrupts: a (domain, line) group conflicts in products
         // containing at least two of its users.
-        for (_line, users) in interrupt_users(&plan.family_tree) {
-            if users.len() < 2 {
-                continue;
-            }
+        for (_line, users) in shared_interrupt_lines(&plan.family_tree) {
             for a in 0..users.len() {
                 for b in (a + 1)..users.len() {
                     let pa = presence_term(self.session.ctx_mut(), plan, &feat_by_name, &users[a]);

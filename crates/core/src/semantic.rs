@@ -246,7 +246,7 @@ impl SemanticChecker {
     ) -> Result<(SemanticReport, RegionCheckStats), DtsError> {
         let refs = self.collect_refs_with(tree, translated)?;
         let (collisions, stats) = self.check_regions_with_stats(&refs);
-        let interrupt_conflicts = interrupt_conflicts(tree);
+        let interrupt_conflicts = shared_interrupt_lines(tree);
         let wrapping = refs.iter().filter(|r| r.region.wraps()).cloned().collect();
         Ok((
             SemanticReport {
@@ -713,32 +713,27 @@ fn minimized_value(
     v
 }
 
-/// Collects `interrupts` cell values and reports lines used by more
-/// than one device *within the same interrupt domain*. The domain is
-/// the device's `interrupt-parent` (a `&label` or phandle cell),
-/// inherited from ancestors per the DeviceTree specification; devices
-/// wired to different interrupt controllers may legitimately share
-/// line numbers. The number of cells per interrupt specifier is the
-/// controller's `#interrupt-cells` (default 1), with the *first* cell
-/// treated as the line number.
-fn interrupt_conflicts(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
-    interrupt_users(tree)
-        .into_iter()
-        .filter(|(_, paths)| paths.len() > 1)
-        .collect()
-}
-
-/// Every `(interrupt domain, line) → using node paths` group in the
-/// tree, before the ≥2-users conflict filter, as `(line, paths)`. Groups
-/// come sorted by (domain key, line) and each group's paths in
-/// depth-first order. The family checker lifts over these groups: a pair
+/// Interrupt lines used by more than one device *within the same
+/// interrupt domain*, as `(line, user paths)`. The domain is the
+/// device's `interrupt-parent` (a `&label` or phandle cell), inherited
+/// from ancestors per the DeviceTree specification; devices wired to
+/// different interrupt controllers may legitimately share line numbers.
+/// The number of cells per interrupt specifier is the controller's
+/// `#interrupt-cells` (default 1), with the *first* cell treated as the
+/// line number; a node whose own specifiers repeat a line uses it twice.
+///
+/// Lines come sorted by (domain key, line) and each line's paths in
+/// depth-first order. The family checker lifts over the users: a pair
 /// of users sharing a line only conflicts in products containing both,
 /// so it needs the per-user paths, not the merged verdict.
 ///
-/// One walk, linear in the tree: each domain is interned once, with its
-/// controller's `#interrupt-cells` resolved at that point, and groups
-/// accumulate under `(domain index, line)` until the single final sort.
-pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
+/// Two walks, each linear in the tree. The first renders no path: it
+/// interns each domain once, with its controller's `#interrupt-cells`
+/// resolved at that point, and records every use as (domain, line,
+/// pre-order index), which one sort then groups. The second renders the
+/// paths of the shared lines' users only, and runs only if there are
+/// any.
+pub(crate) fn shared_interrupt_lines(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
     use std::collections::HashMap;
 
     // Domain key: the resolved interrupt parent (label / raw phandle),
@@ -770,9 +765,10 @@ pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
         /// Interned domains: key and `#interrupt-cells`.
         domains: Vec<(String, u32)>,
         domain_of: HashMap<String, usize>,
-        /// Groups as `(domain index, line, paths)`.
-        groups: Vec<(usize, u32, Vec<String>)>,
-        group_of: HashMap<(usize, u32), usize>,
+        /// Every use as `(domain index, line, pre-order index)`.
+        uses: Vec<(usize, u32, usize)>,
+        /// Pre-order index of the next node visited.
+        next: usize,
     }
 
     impl Walk<'_> {
@@ -787,14 +783,9 @@ pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
             d
         }
 
-        fn visit(&mut self, node: &llhsc_dts::Node, path: &str, inherited: usize) {
-            let here = if node.name.is_empty() {
-                "/".to_string()
-            } else if path == "/" {
-                format!("/{}", node.name)
-            } else {
-                format!("{path}/{}", node.name)
-            };
+        fn visit(&mut self, node: &llhsc_dts::Node, inherited: usize) {
+            let index = self.next;
+            self.next += 1;
             let domain = match node.prop("interrupt-parent") {
                 Some(prop) => self.intern(parent_key(prop)),
                 None => inherited,
@@ -802,17 +793,11 @@ pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
             if let Some(cells) = node.prop("interrupts").and_then(|p| p.flat_cells()) {
                 let stride = self.domains[domain].1.max(1) as usize;
                 for spec in cells.chunks(stride) {
-                    let line = spec[0];
-                    let next = self.groups.len();
-                    let g = *self.group_of.entry((domain, line)).or_insert(next);
-                    if g == next {
-                        self.groups.push((domain, line, Vec::new()));
-                    }
-                    self.groups[g].2.push(here.clone());
+                    self.uses.push((domain, spec[0], index));
                 }
             }
             for c in &node.children {
-                self.visit(c, &here, domain);
+                self.visit(c, domain);
             }
         }
     }
@@ -821,23 +806,92 @@ pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
         tree,
         domains: Vec::new(),
         domain_of: HashMap::new(),
-        groups: Vec::new(),
-        group_of: HashMap::new(),
+        uses: Vec::new(),
+        next: 0,
     };
     let root_domain = walk.intern(String::new());
-    walk.visit(&tree.root, "/", root_domain);
-    let Walk {
-        domains,
-        mut groups,
-        ..
-    } = walk;
-    groups.sort_unstable_by(|(da, la, _), (db, lb, _)| {
-        (&domains[*da].0, la).cmp(&(&domains[*db].0, lb))
-    });
-    groups
+    walk.visit(&tree.root, root_domain);
+    let Walk { domains, uses, .. } = walk;
+
+    // Rank the domains by key, so that sorting the uses orders them by
+    // (domain key, line) and each line's users depth first.
+    let mut by_key: Vec<usize> = (0..domains.len()).collect();
+    by_key.sort_unstable_by(|&a, &b| domains[a].0.cmp(&domains[b].0));
+    let mut rank = vec![0; domains.len()];
+    for (r, &d) in by_key.iter().enumerate() {
+        rank[d] = r;
+    }
+    let mut uses: Vec<(usize, u32, usize)> = uses
         .into_iter()
-        .map(|(_, line, paths)| (line, paths))
+        .map(|(d, line, index)| (rank[d], line, index))
+        .collect();
+    uses.sort_unstable();
+    let shared: Vec<&[(usize, u32, usize)]> = uses
+        .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+        .filter(|users| users.len() > 1)
+        .collect();
+    if shared.is_empty() {
+        return Vec::new();
+    }
+
+    let mut users: Vec<usize> = shared.iter().flat_map(|g| g.iter().map(|u| u.2)).collect();
+    users.sort_unstable();
+    users.dedup();
+    let paths = paths_at(&tree.root, &users);
+    let path_of = |index: usize| {
+        let i = users
+            .binary_search(&index)
+            .expect("every user's path is rendered");
+        paths[i].clone()
+    };
+    shared
+        .into_iter()
+        .map(|g| (g[0].1, g.iter().map(|u| path_of(u.2)).collect()))
         .collect()
+}
+
+/// The paths of the nodes at the given pre-order `indices` (ascending,
+/// distinct) under `root`, in that order. One walk keeps one path
+/// buffer, extended on the way in and cut back on the way out, and
+/// stops once every path is rendered.
+fn paths_at(root: &llhsc_dts::Node, indices: &[usize]) -> Vec<String> {
+    fn visit(
+        node: &llhsc_dts::Node,
+        path: &mut String,
+        next: &mut usize,
+        indices: &[usize],
+        out: &mut Vec<String>,
+    ) {
+        if out.len() == indices.len() {
+            return;
+        }
+        // An unnamed node is the root wherever it sits, so it starts
+        // from an empty path and gives its parent's back afterwards.
+        let outer = node.name.is_empty().then(|| std::mem::take(path));
+        let mark = path.len();
+        if !node.name.is_empty() {
+            path.push('/');
+            path.push_str(&node.name);
+        }
+        if indices.get(out.len()) == Some(next) {
+            out.push(if path.is_empty() {
+                "/".to_string()
+            } else {
+                path.clone()
+            });
+        }
+        *next += 1;
+        for c in &node.children {
+            visit(c, path, next, indices, out);
+        }
+        path.truncate(mark);
+        if let Some(outer) = outer {
+            *path = outer;
+        }
+    }
+    let mut out = Vec::with_capacity(indices.len());
+    visit(root, &mut String::new(), &mut 0, indices, &mut out);
+    out
 }
 
 #[cfg(test)]

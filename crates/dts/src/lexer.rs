@@ -1,5 +1,7 @@
 //! The DTS lexer.
 
+use std::borrow::Cow;
+
 use crate::error::{DtsError, Position};
 
 /// A lexical token with its source position.
@@ -81,10 +83,14 @@ impl TokenKind {
 }
 
 pub(crate) struct Lexer<'a> {
-    src: &'a [u8],
+    /// The text being lexed: borrowed for the main file, owned for an
+    /// `/include/`d one.
+    src: Cow<'a, str>,
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset at which the current line starts. A column is the
+    /// distance from it, so only a newline needs bookkeeping.
+    line_start: usize,
     /// Inside `[ … ]` byte strings, bare tokens are hex bytes.
     hex_mode: bool,
 }
@@ -96,312 +102,261 @@ fn is_name_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b',' | b'.' | b'_' | b'+' | b'-' | b'@' | b'#' | b'?')
 }
 
+/// The suffixes dtc allows after an integer literal.
+fn is_int_suffix(s: &[u8]) -> bool {
+    matches!(s, b"" | b"U" | b"L" | b"UL" | b"LL" | b"ULL")
+}
+
+/// The token for a run of name characters outside a byte string.
+///
+/// Integer literals read as dtc reads them (`strtoull(text, 0)`): `0x`
+/// or `0X` then hex digits, `0` then octal digits, or decimal digits,
+/// each optionally followed by `U`, `L`, `UL`, `LL` or `ULL`. A run
+/// that starts like a hex literal but is not one, an octal literal with
+/// an `8` or `9`, and a value past 64 bits are malformed numbers. Any
+/// other run that is not digits plus a suffix is a name.
+fn word(text: &str, at: Position) -> Result<TokenKind, DtsError> {
+    let b = text.as_bytes();
+    let (radix, digits, suffix) = if let [b'0', b'x' | b'X', rest @ ..] = b {
+        let n = rest.iter().take_while(|c| c.is_ascii_hexdigit()).count();
+        (16, &rest[..n], &rest[n..])
+    } else {
+        let n = b.iter().take_while(|c| c.is_ascii_digit()).count();
+        if n == 0 || !is_int_suffix(&b[n..]) {
+            return Ok(TokenKind::Ident(text.to_owned()));
+        }
+        if n > 1 && b[0] == b'0' {
+            (8, &b[1..n], &b[n..])
+        } else {
+            (10, &b[..n], &b[n..])
+        }
+    };
+    let value = if digits.is_empty() || !is_int_suffix(suffix) {
+        None
+    } else {
+        digits.iter().try_fold(0u64, |acc, &c| {
+            let d = char::from(c).to_digit(radix)?;
+            acc.checked_mul(u64::from(radix))?.checked_add(u64::from(d))
+        })
+    };
+    value
+        .map(TokenKind::Num)
+        .ok_or_else(|| DtsError::BadNumber {
+            at,
+            text: text.to_owned(),
+        })
+}
+
 impl<'a> Lexer<'a> {
-    pub(crate) fn new(src: &'a str) -> Lexer<'a> {
+    pub(crate) fn new(src: impl Into<Cow<'a, str>>) -> Lexer<'a> {
         Lexer {
-            src: src.as_bytes(),
+            src: src.into(),
             pos: 0,
             line: 1,
-            col: 1,
+            line_start: 0,
             hex_mode: false,
         }
     }
 
     fn here(&self) -> Position {
-        Position::new(self.line, self.col)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
+        let column = u32::try_from(self.pos - self.line_start + 1).unwrap_or(u32::MAX);
+        Position::new(self.line, column)
     }
 
     fn skip_trivia(&mut self) -> Result<(), DtsError> {
         loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
+            let src = self.src.as_bytes();
+            match src.get(self.pos) {
+                Some(b'\n') => {
+                    self.pos += 1;
+                    self.line = self.line.saturating_add(1);
+                    self.line_start = self.pos;
                 }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                Some(c) if c.is_ascii_whitespace() => self.pos += 1,
+                Some(b'/') if src.get(self.pos + 1) == Some(&b'/') => {
+                    // Up to, not over, the newline.
+                    self.pos = src[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(src.len(), |n| self.pos + n);
                 }
-                Some(b'/') if self.peek2() == Some(b'*') => {
+                Some(b'/') if src.get(self.pos + 1) == Some(&b'*') => {
                     let at = self.here();
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek() {
-                            None => {
-                                return Err(DtsError::Unterminated {
-                                    at,
-                                    what: "comment",
-                                })
-                            }
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            _ => {
-                                self.bump();
-                            }
-                        }
+                    let body = self.pos + 2;
+                    let Some(len) = src[body..].windows(2).position(|w| w == b"*/") else {
+                        return Err(DtsError::Unterminated {
+                            at,
+                            what: "comment",
+                        });
+                    };
+                    let end = body + len + 2;
+                    let comment = &src[body..end];
+                    if let Some(last) = comment.iter().rposition(|&c| c == b'\n') {
+                        let lines = comment.iter().filter(|&&c| c == b'\n').count();
+                        let lines = u32::try_from(lines).unwrap_or(u32::MAX);
+                        self.line = self.line.saturating_add(lines);
+                        self.line_start = body + last + 1;
                     }
+                    self.pos = end;
                 }
                 _ => return Ok(()),
             }
         }
     }
 
-    /// Consumes the continuation bytes of a UTF-8 scalar whose lead byte
-    /// `first` was already bumped, and appends the decoded character.
-    /// The source is a `&str`, so well-formed continuations are always
-    /// present; a truncated or malformed sequence becomes an error, not
-    /// a panic.
-    fn push_scalar(&mut self, first: u8, out: &mut String, at: Position) -> Result<(), DtsError> {
-        if first < 0x80 {
-            out.push(first as char);
-            return Ok(());
-        }
-        let width = match first {
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            0xf0..=0xf7 => 4,
-            _ => 1,
-        };
-        let mut buf = [first, 0, 0, 0];
-        for slot in buf.iter_mut().take(width).skip(1) {
-            match self.bump() {
-                Some(b) => *slot = b,
-                None => return Err(DtsError::Unterminated { at, what: "string" }),
+    /// Lexes a string literal; an escape-free one is one slice copy.
+    fn lex_string(&mut self) -> Result<TokenKind, DtsError> {
+        let at = self.here();
+        let unterminated = DtsError::Unterminated { at, what: "string" };
+        let src: &str = &self.src;
+        let mut pos = self.pos + 1; // past the opening quote
+        let mut out = String::new();
+        // Start of the text not yet copied to `out`. Every stop below is
+        // at an ASCII byte, so each slice falls on character boundaries.
+        let mut run = pos;
+        loop {
+            match src.as_bytes().get(pos) {
+                None => return Err(unterminated),
+                Some(b'"') => {
+                    out.push_str(&src[run..pos]);
+                    self.pos = pos + 1;
+                    return Ok(TokenKind::Str(out));
+                }
+                Some(b'\n') => {
+                    pos += 1;
+                    self.line = self.line.saturating_add(1);
+                    self.line_start = pos;
+                }
+                Some(b'\\') => {
+                    out.push_str(&src[run..pos]);
+                    pos += 1;
+                    let Some(c) = src[pos..].chars().next() else {
+                        return Err(unterminated);
+                    };
+                    pos += c.len_utf8();
+                    if c == '\n' {
+                        self.line = self.line.saturating_add(1);
+                        self.line_start = pos;
+                    }
+                    out.push(match c {
+                        'n' => '\n',
+                        't' => '\t',
+                        'r' => '\r',
+                        '0' => '\0',
+                        c => c,
+                    });
+                    run = pos;
+                }
+                Some(_) => pos += 1,
             }
-        }
-        match std::str::from_utf8(&buf[..width]) {
-            Ok(s) => {
-                out.push_str(s);
-                Ok(())
-            }
-            Err(_) => Err(DtsError::Lex {
-                at,
-                found: char::REPLACEMENT_CHARACTER,
-            }),
         }
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind, DtsError> {
-        let at = self.here();
-        self.bump(); // opening quote
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(DtsError::Unterminated { at, what: "string" }),
-                Some(b'"') => return Ok(TokenKind::Str(out)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'0') => out.push('\0'),
-                    Some(c) => self.push_scalar(c, &mut out, at)?,
-                    None => return Err(DtsError::Unterminated { at, what: "string" }),
-                },
-                Some(c) => self.push_scalar(c, &mut out, at)?,
-            }
-        }
+    /// The end of the run of name characters starting at `self.pos`.
+    fn name_end(&self) -> usize {
+        let src = self.src.as_bytes();
+        src[self.pos..]
+            .iter()
+            .position(|&c| !is_name_char(c))
+            .map_or(src.len(), |n| self.pos + n)
     }
 
     fn lex_number_or_name(&mut self) -> Result<TokenKind, DtsError> {
         let at = self.here();
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if is_name_char(c) {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        // `is_name_char` only accepts ASCII, so this cannot allocate
-        // mojibake; build the string byte-by-byte instead of trusting a
-        // `from_utf8().expect()`.
-        let text: String = self.src[start..self.pos]
-            .iter()
-            .map(|&b| b as char)
-            .collect();
+        self.pos = self.name_end();
+        // Name characters are ASCII, so the run is a `str` slice.
+        let text = &self.src[start..self.pos];
         // Inside byte strings every bare token is a raw hex-digit run;
         // keep the lexeme verbatim so leading zero bytes survive.
         if self.hex_mode {
-            if !text.is_empty() && text.bytes().all(|c| c.is_ascii_hexdigit()) {
-                return Ok(TokenKind::HexRun(text));
+            if text.bytes().all(|c| c.is_ascii_hexdigit()) {
+                return Ok(TokenKind::HexRun(text.to_owned()));
             }
-            return Err(DtsError::BadNumber { at, text });
+            return Err(DtsError::BadNumber {
+                at,
+                text: text.to_owned(),
+            });
         }
         // A label is a plain identifier immediately followed by ':'.
-        if self.peek() == Some(b':') && !text.is_empty() && !text.contains('@') {
-            self.bump();
-            return Ok(TokenKind::Label(text));
+        if self.src.as_bytes().get(self.pos) == Some(&b':') && !text.contains('@') {
+            self.pos += 1;
+            return Ok(TokenKind::Label(text.to_owned()));
         }
-        // Numbers: 0x…, or all-decimal digits.
-        if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            return u64::from_str_radix(hex, 16)
-                .map(TokenKind::Num)
-                .map_err(|_| DtsError::BadNumber { at, text });
-        }
-        if !text.is_empty() && text.bytes().all(|c| c.is_ascii_digit()) {
-            return text
-                .parse::<u64>()
-                .map(TokenKind::Num)
-                .map_err(|_| DtsError::BadNumber { at, text });
-        }
-        Ok(TokenKind::Ident(text))
+        word(text, at)
     }
 
     pub(crate) fn next_token(&mut self) -> Result<Token, DtsError> {
         self.skip_trivia()?;
         let at = self.here();
-        let Some(c) = self.peek() else {
+        let Some(&c) = self.src.as_bytes().get(self.pos) else {
             return Ok(Token {
                 kind: TokenKind::Eof,
                 at,
             });
         };
         let kind = match c {
-            b'{' => {
-                self.bump();
-                TokenKind::LBrace
-            }
-            b'}' => {
-                self.bump();
-                TokenKind::RBrace
-            }
-            b'<' => {
-                self.bump();
-                TokenKind::Lt
-            }
-            b'>' => {
-                self.bump();
-                TokenKind::Gt
-            }
+            b'{' => self.single(TokenKind::LBrace),
+            b'}' => self.single(TokenKind::RBrace),
+            b'<' => self.single(TokenKind::Lt),
+            b'>' => self.single(TokenKind::Gt),
             b'[' => {
-                self.bump();
                 self.hex_mode = true;
-                TokenKind::LBracket
+                self.single(TokenKind::LBracket)
             }
             b']' => {
-                self.bump();
                 self.hex_mode = false;
-                TokenKind::RBracket
+                self.single(TokenKind::RBracket)
             }
-            b';' => {
-                self.bump();
-                TokenKind::Semi
-            }
-            b',' => {
-                self.bump();
-                TokenKind::Comma
-            }
-            b'=' => {
-                self.bump();
-                TokenKind::Eq
-            }
+            b';' => self.single(TokenKind::Semi),
+            b',' => self.single(TokenKind::Comma),
+            b'=' => self.single(TokenKind::Eq),
             b'"' => self.lex_string()?,
             b'&' => {
-                self.bump();
+                self.pos += 1;
                 let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if is_name_char(c) {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let name: String = self.src[start..self.pos]
-                    .iter()
-                    .map(|&b| b as char)
-                    .collect();
-                if name.is_empty() {
+                self.pos = self.name_end();
+                if self.pos == start {
                     return Err(DtsError::Lex { at, found: '&' });
                 }
-                TokenKind::Ref(name)
+                TokenKind::Ref(self.src[start..self.pos].to_owned())
             }
-            b'/' => {
-                // Either a directive /word/ or the bare root name '/'.
-                let rest = &self.src[self.pos + 1..];
-                let directive = |word: &[u8], rest: &[u8]| -> bool {
-                    rest.len() > word.len()
-                        && &rest[..word.len()] == word
-                        && rest[word.len()] == b'/'
-                };
-                if directive(b"dts-v1", rest) {
-                    for _ in 0.."/dts-v1/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DtsV1
-                } else if directive(b"include", rest) {
-                    for _ in 0.."/include/".len() {
-                        self.bump();
-                    }
-                    TokenKind::Include
-                } else if directive(b"delete-node", rest) {
-                    for _ in 0.."/delete-node/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DeleteNode
-                } else if directive(b"delete-property", rest) {
-                    for _ in 0.."/delete-property/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DeleteProperty
-                } else if directive(b"memreserve", rest) {
-                    for _ in 0.."/memreserve/".len() {
-                        self.bump();
-                    }
-                    TokenKind::MemReserve
-                } else {
-                    self.bump();
-                    TokenKind::Slash
-                }
-            }
+            b'/' => self.lex_slash(),
             c if is_name_char(c) => self.lex_number_or_name()?,
             c => {
                 return Err(DtsError::Lex {
                     at,
-                    found: c as char,
+                    found: char::from(c),
                 })
             }
         };
         Ok(Token { kind, at })
     }
 
-    /// Lexes the whole input into a token vector ending with `Eof`.
-    pub(crate) fn tokenize(mut self) -> Result<Vec<Token>, DtsError> {
-        let mut out = Vec::new();
-        loop {
-            let t = self.next_token()?;
-            let done = t.kind == TokenKind::Eof;
-            out.push(t);
-            if done {
-                return Ok(out);
+    /// Steps over a one-byte token.
+    fn single(&mut self, kind: TokenKind) -> TokenKind {
+        self.pos += 1;
+        kind
+    }
+
+    /// Either a directive `/word/` or the bare root name `/`.
+    fn lex_slash(&mut self) -> TokenKind {
+        const DIRECTIVES: [(&[u8], TokenKind); 5] = [
+            (b"/dts-v1/", TokenKind::DtsV1),
+            (b"/include/", TokenKind::Include),
+            (b"/delete-node/", TokenKind::DeleteNode),
+            (b"/delete-property/", TokenKind::DeleteProperty),
+            (b"/memreserve/", TokenKind::MemReserve),
+        ];
+        let rest = &self.src.as_bytes()[self.pos..];
+        for (word, kind) in DIRECTIVES {
+            if rest.starts_with(word) {
+                self.pos += word.len();
+                return kind;
             }
         }
+        self.pos += 1;
+        TokenKind::Slash
     }
 }
 
@@ -409,13 +364,22 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
+    /// Every token of `src` up to and including `Eof`, or the first error.
+    fn lex(src: &str) -> Result<Vec<Token>, DtsError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            let done = t.kind == TokenKind::Eof;
+            out.push(t);
+            if done {
+                return Ok(out);
+            }
+        }
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -447,6 +411,59 @@ mod tests {
     fn numbers_hex_and_dec() {
         assert_eq!(kinds("<0x40000000 12>")[1], TokenKind::Num(0x4000_0000));
         assert_eq!(kinds("<0x40000000 12>")[2], TokenKind::Num(12));
+    }
+
+    /// The one token of `src`, or its lexical error.
+    fn one(src: &str) -> Result<TokenKind, DtsError> {
+        Lexer::new(src).next_token().map(|t| t.kind)
+    }
+
+    #[test]
+    fn leading_zero_reads_octal() {
+        assert_eq!(one("010"), Ok(TokenKind::Num(8)));
+        assert_eq!(one("0777"), Ok(TokenKind::Num(0o777)));
+        assert_eq!(one("00"), Ok(TokenKind::Num(0)));
+        assert_eq!(one("0"), Ok(TokenKind::Num(0)));
+    }
+
+    #[test]
+    fn octal_literal_rejects_eight_and_nine() {
+        for src in ["08", "019", "09U"] {
+            assert!(matches!(one(src), Err(DtsError::BadNumber { .. })), "{src}");
+        }
+    }
+
+    #[test]
+    fn decimal_literal() {
+        assert_eq!(one("12"), Ok(TokenKind::Num(12)));
+        assert_eq!(one("18446744073709551615"), Ok(TokenKind::Num(u64::MAX)));
+        assert!(matches!(
+            one("18446744073709551616"),
+            Err(DtsError::BadNumber { .. })
+        ));
+    }
+
+    #[test]
+    fn hex_literal() {
+        assert_eq!(one("0x1f"), Ok(TokenKind::Num(0x1f)));
+        assert_eq!(one("0XAb"), Ok(TokenKind::Num(0xab)));
+        assert_eq!(one("0xffffffffffffffff"), Ok(TokenKind::Num(u64::MAX)));
+        for src in ["0x", "0x10000000000000000", "0x+10", "0x1g"] {
+            assert!(matches!(one(src), Err(DtsError::BadNumber { .. })), "{src}");
+        }
+    }
+
+    #[test]
+    fn integer_suffixes() {
+        for suffix in ["U", "L", "UL", "LL", "ULL"] {
+            assert_eq!(one(&format!("16{suffix}")), Ok(TokenKind::Num(16)));
+            assert_eq!(one(&format!("0x10{suffix}")), Ok(TokenKind::Num(16)));
+            assert_eq!(one(&format!("020{suffix}")), Ok(TokenKind::Num(16)));
+        }
+        // Not a dtc suffix: a malformed hex literal, and a name otherwise.
+        assert!(matches!(one("0x10LU"), Err(DtsError::BadNumber { .. })));
+        assert_eq!(one("16LU"), Ok(TokenKind::Ident("16LU".into())));
+        assert_eq!(one("16ul"), Ok(TokenKind::Ident("16ul".into())));
     }
 
     #[test]
@@ -485,7 +502,7 @@ mod tests {
 
     #[test]
     fn unterminated_string_errors() {
-        let r = Lexer::new("\"abc").tokenize();
+        let r = lex("\"abc");
         assert!(matches!(
             r,
             Err(DtsError::Unterminated { what: "string", .. })
@@ -494,7 +511,7 @@ mod tests {
 
     #[test]
     fn unterminated_comment_errors() {
-        let r = Lexer::new("/* abc").tokenize();
+        let r = lex("/* abc");
         assert!(matches!(
             r,
             Err(DtsError::Unterminated {
@@ -506,15 +523,23 @@ mod tests {
 
     #[test]
     fn bad_number_errors() {
-        let r = Lexer::new("0xzz").tokenize();
+        let r = lex("0xzz");
         assert!(matches!(r, Err(DtsError::BadNumber { .. })));
     }
 
     #[test]
     fn positions_track_lines() {
-        let toks = Lexer::new("a\n  b").tokenize().unwrap();
+        let toks = lex("a\n  b").unwrap();
         assert_eq!(toks[0].at, Position::new(1, 1));
         assert_eq!(toks[1].at, Position::new(2, 3));
+        // Newlines inside comments and strings count too, and a column
+        // counts bytes.
+        let toks = lex("/* x\n y */ \"a\nµ\" c // z\n\t d").unwrap();
+        let at: Vec<Position> = toks.iter().map(|t| t.at).collect();
+        assert_eq!(
+            at,
+            [(2, 7), (3, 5), (4, 3), (4, 4)].map(|(l, c)| Position::new(l, c))
+        );
     }
 
     #[test]
@@ -537,7 +562,7 @@ mod tests {
 
     #[test]
     fn non_hex_in_byte_string_errors() {
-        let r = Lexer::new("[ 0xzz ]").tokenize();
+        let r = lex("[ 0xzz ]");
         assert!(matches!(r, Err(DtsError::BadNumber { .. })));
     }
 

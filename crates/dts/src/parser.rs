@@ -1,8 +1,11 @@
 //! Recursive-descent parser for DTS source, with `/include/` resolution.
+//!
+//! The parser pulls each token from a stack of lexers when it needs it:
+//! one for the main file and one per open `/include/`.
 
 use std::collections::HashMap;
 
-use crate::error::{DtsError, Position};
+use crate::error::DtsError;
 use crate::lexer::{Lexer, Token, TokenKind};
 use crate::tree::{Cell, DeviceTree, Node, PropValue, Property, SiblingIndex};
 
@@ -78,96 +81,81 @@ pub fn parse(src: &str) -> Result<DeviceTree, DtsError> {
 /// Returns a [`DtsError`] on lexical or syntactic problems, missing
 /// include files, or overly deep include nesting.
 pub fn parse_with_includes(src: &str, provider: &dyn FileProvider) -> Result<DeviceTree, DtsError> {
-    let tokens = tokenize_with_includes(src, provider, 0)?;
-    Parser::new(tokens).parse_document()
+    Parser {
+        main: Lexer::new(src),
+        includes: Vec::new(),
+        provider,
+        look: None,
+        depth: 0,
+    }
+    .parse_document()
 }
 
-/// Lexes `src`, splicing in the token streams of included files at each
-/// `/include/` directive (textual-inclusion semantics, like dtc).
-fn tokenize_with_includes(
-    src: &str,
-    provider: &dyn FileProvider,
-    depth: usize,
-) -> Result<Vec<Token>, DtsError> {
-    let raw = Lexer::new(src).tokenize()?;
-    if !raw.iter().any(|t| t.kind == TokenKind::Include) {
-        return Ok(raw);
-    }
-    let mut out = Vec::with_capacity(raw.len());
-    let mut raw = raw.into_iter();
-    while let Some(token) = raw.next() {
-        if token.kind != TokenKind::Include {
-            out.push(token);
-            continue;
-        }
-        let at = token.at;
-        let Some(next) = raw.next() else {
-            return Err(DtsError::Unexpected {
-                at,
-                expected: "include file name".into(),
-                found: "end of input".into(),
-            });
-        };
-        let TokenKind::Str(name) = next.kind else {
-            return Err(DtsError::Unexpected {
-                at: next.at,
-                expected: "include file name".into(),
-                found: next.kind.describe(),
-            });
-        };
-        if depth >= MAX_INCLUDE_DEPTH {
-            return Err(DtsError::IncludeDepth { file: name });
-        }
-        let Some(contents) = provider.read(&name) else {
-            return Err(DtsError::MissingInclude { at, file: name });
-        };
-        let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
-        // Drop the inner EOF.
-        inner.pop();
-        out.extend(inner);
-    }
-    Ok(out)
-}
-
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Pulls tokens from the lexers on demand, so no token vector is ever
+/// built, and reports the first problem in source order: a lexical error
+/// surfaces when the parser reaches the token it spoils.
+struct Parser<'a> {
+    /// The main file's lexer.
+    main: Lexer<'a>,
+    /// One lexer per open `/include/`, innermost last. The innermost
+    /// one, or `main` when none is open, supplies the next token; an
+    /// included file's end of input pops its lexer (textual inclusion,
+    /// like dtc).
+    includes: Vec<Lexer<'a>>,
+    provider: &'a dyn FileProvider,
+    /// The next token, once the parser has looked at it.
+    look: Option<Token>,
     /// Current node-body nesting, checked against [`MAX_NODE_DEPTH`].
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
-        Parser {
-            tokens,
-            pos: 0,
-            depth: 0,
+impl Parser<'_> {
+    /// Lexes the next token of the whole input, entering and leaving
+    /// included files as their directives and ends are reached.
+    fn lex(&mut self) -> Result<Token, DtsError> {
+        loop {
+            let open = self.includes.len();
+            let lexer = self.includes.last_mut().unwrap_or(&mut self.main);
+            let t = lexer.next_token()?;
+            match t.kind {
+                TokenKind::Eof if open > 0 => {
+                    self.includes.pop();
+                }
+                TokenKind::Include => {
+                    let name = lexer.next_token()?;
+                    let TokenKind::Str(file) = name.kind else {
+                        return Err(Parser::unexpected(&name, "include file name"));
+                    };
+                    if open >= MAX_INCLUDE_DEPTH {
+                        return Err(DtsError::IncludeDepth { file });
+                    }
+                    let Some(contents) = self.provider.read(&file) else {
+                        return Err(DtsError::MissingInclude { at: t.at, file });
+                    };
+                    self.includes.push(Lexer::new(contents));
+                }
+                _ => return Ok(t),
+            }
         }
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&mut self) -> Result<&Token, DtsError> {
+        let t = match self.look.take() {
+            Some(t) => t,
+            None => self.lex()?,
+        };
+        Ok(self.look.insert(t))
     }
 
-    /// Consumes the current token and returns it. Tokens before the
-    /// final EOF are moved out, since the parser never looks back; the
-    /// EOF stays, so reading past the end keeps returning it.
-    fn bump(&mut self) -> Token {
-        let last = self.tokens.len() - 1;
-        let i = self.pos.min(last);
-        self.pos = (self.pos + 1).min(self.tokens.len());
-        if i == last {
-            return self.tokens[last].clone();
-        }
-        let kind = std::mem::replace(&mut self.tokens[i].kind, TokenKind::Eof);
-        Token {
-            kind,
-            at: self.tokens[i].at,
+    fn bump(&mut self) -> Result<Token, DtsError> {
+        match self.look.take() {
+            Some(t) => Ok(t),
+            None => self.lex(),
         }
     }
 
     fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, DtsError> {
-        let t = self.bump();
+        let t = self.bump()?;
         if &t.kind == kind {
             Ok(t)
         } else {
@@ -186,29 +174,34 @@ impl Parser {
     /// document := '/dts-v1/' ';' toplevel* EOF
     fn parse_document(mut self) -> Result<DeviceTree, DtsError> {
         let mut tree = DeviceTree::default();
-        if self.peek().kind == TokenKind::DtsV1 {
-            self.bump();
+        if self.peek()?.kind == TokenKind::DtsV1 {
+            self.bump()?;
             self.expect(&TokenKind::Semi, "';' after /dts-v1/")?;
             tree.has_version_tag = true;
         }
         loop {
-            match &self.peek().kind {
+            match &self.peek()?.kind {
                 TokenKind::Eof => break,
                 TokenKind::Slash => {
-                    self.bump();
-                    let body = self.parse_node_body("")?;
-                    let mut root = body;
-                    root.name = String::new();
-                    tree.root.merge(root);
+                    self.bump()?;
+                    let body = self.parse_node_body(String::new())?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
+                    // While the root is empty, a body is the root as it
+                    // stands: merging would re-index each of its
+                    // children. Later bodies merge into it.
+                    if tree.root.properties.is_empty() && tree.root.children.is_empty() {
+                        tree.root = body;
+                    } else {
+                        tree.root.merge(body);
+                    }
                 }
                 TokenKind::MemReserve => {
-                    self.bump();
-                    let a = self.bump();
+                    self.bump()?;
+                    let a = self.bump()?;
                     let TokenKind::Num(addr) = a.kind else {
                         return Err(Parser::unexpected(&a, "address after /memreserve/"));
                     };
-                    let b = self.bump();
+                    let b = self.bump()?;
                     let TokenKind::Num(size) = b.kind else {
                         return Err(Parser::unexpected(&b, "size after /memreserve/"));
                     };
@@ -216,11 +209,11 @@ impl Parser {
                     tree.reservations.push((addr, size));
                 }
                 TokenKind::Ref(_) => {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     let TokenKind::Ref(label) = t.kind else {
-                        unreachable!()
+                        unreachable!("peeked a reference")
                     };
-                    let body = self.parse_node_body("")?;
+                    let patch = self.parse_node_body(String::new())?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
                     let path = tree
                         .resolve_label(&label)
@@ -230,12 +223,10 @@ impl Parser {
                         .ok_or_else(|| DtsError::NoSuchNode {
                             path: path.to_string(),
                         })?;
-                    let mut patch = body;
-                    patch.name = target.name.clone();
                     target.merge(patch);
                 }
                 _ => {
-                    let t = self.peek().clone();
+                    let t = self.bump()?;
                     return Err(Parser::unexpected(&t, "'/' or '&label' at top level"));
                 }
             }
@@ -247,23 +238,26 @@ impl Parser {
     ///
     /// The leading name/labels are consumed by the caller; `name` is the
     /// node's name.
-    fn parse_node_body(&mut self, name: &str) -> Result<Node, DtsError> {
+    fn parse_node_body(&mut self, name: String) -> Result<Node, DtsError> {
         let open = self.expect(&TokenKind::LBrace, "'{'")?;
         self.depth += 1;
         if self.depth > MAX_NODE_DEPTH {
             return Err(DtsError::TooDeep { at: open.at });
         }
-        let mut node = Node::new(name);
+        let mut node = Node {
+            name,
+            ..Node::default()
+        };
         let mut siblings = SiblingIndex::default();
         loop {
-            let t = self.bump();
+            let t = self.bump()?;
             match t.kind {
                 TokenKind::RBrace => {
                     self.depth -= 1;
                     return Ok(node);
                 }
                 TokenKind::DeleteNode => {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     let TokenKind::Ident(child) = t.kind else {
                         return Err(Parser::unexpected(&t, "node name after /delete-node/"));
                     };
@@ -271,7 +265,7 @@ impl Parser {
                     self.expect(&TokenKind::Semi, "';' after /delete-node/")?;
                 }
                 TokenKind::DeleteProperty => {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     let TokenKind::Ident(prop) = t.kind else {
                         return Err(Parser::unexpected(
                             &t,
@@ -284,28 +278,27 @@ impl Parser {
                 TokenKind::Label(first) => {
                     // One or more labels, then a child node.
                     let mut labels = vec![first];
-                    while let TokenKind::Label(_) = self.peek().kind {
-                        if let TokenKind::Label(l) = self.bump().kind {
-                            labels.push(l);
+                    let child_name = loop {
+                        let t = self.bump()?;
+                        match t.kind {
+                            TokenKind::Label(l) => labels.push(l),
+                            TokenKind::Ident(name) => break name,
+                            _ => return Err(Parser::unexpected(&t, "node name after label")),
                         }
-                    }
-                    let t = self.bump();
-                    let TokenKind::Ident(child_name) = t.kind else {
-                        return Err(Parser::unexpected(&t, "node name after label"));
                     };
-                    let mut child = self.parse_node_body(&child_name)?;
+                    let mut child = self.parse_node_body(child_name)?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
-                    child.labels.splice(0..0, labels);
+                    child.labels = labels;
                     siblings.add(&mut node.children, child);
                 }
-                TokenKind::Ident(ident) => match self.peek().kind {
+                TokenKind::Ident(ident) => match self.peek()?.kind {
                     TokenKind::LBrace => {
-                        let child = self.parse_node_body(&ident)?;
+                        let child = self.parse_node_body(ident)?;
                         self.expect(&TokenKind::Semi, "';' after node")?;
                         siblings.add(&mut node.children, child);
                     }
                     TokenKind::Eq => {
-                        self.bump();
+                        self.bump()?;
                         let values = self.parse_values()?;
                         self.expect(&TokenKind::Semi, "';' after property")?;
                         node.set_prop(Property {
@@ -314,11 +307,14 @@ impl Parser {
                         });
                     }
                     TokenKind::Semi => {
-                        self.bump();
-                        node.set_prop(Property::flag(&ident));
+                        self.bump()?;
+                        node.set_prop(Property {
+                            name: ident,
+                            values: Vec::new(),
+                        });
                     }
                     _ => {
-                        let t = self.peek().clone();
+                        let t = self.bump()?;
                         return Err(Parser::unexpected(&t, "'{', '=' or ';' after name"));
                     }
                 },
@@ -332,8 +328,8 @@ impl Parser {
         let mut out = Vec::new();
         loop {
             out.push(self.parse_value()?);
-            if self.peek().kind == TokenKind::Comma {
-                self.bump();
+            if self.peek()?.kind == TokenKind::Comma {
+                self.bump()?;
             } else {
                 return Ok(out);
             }
@@ -342,12 +338,12 @@ impl Parser {
 
     /// value := '<' cell* '>' | string | '[' byte* ']' | '&label'
     fn parse_value(&mut self) -> Result<PropValue, DtsError> {
-        let t = self.bump();
+        let t = self.bump()?;
         match t.kind {
             TokenKind::Lt => {
                 let mut cells = Vec::new();
                 loop {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     match t.kind {
                         TokenKind::Gt => return Ok(PropValue::Cells(cells)),
                         TokenKind::Num(n) => {
@@ -366,7 +362,7 @@ impl Parser {
             TokenKind::LBracket => {
                 let mut bytes = Vec::new();
                 loop {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     match t.kind {
                         TokenKind::RBracket => return Ok(PropValue::Bytes(bytes)),
                         TokenKind::HexRun(run) => {
@@ -394,13 +390,6 @@ impl Parser {
     }
 }
 
-/// The position of the current token — exposed for error reporting by
-/// callers embedding the parser.
-#[allow(dead_code)]
-fn position_of(t: &Token) -> Position {
-    t.at
-}
-
 /// Converts one hex-digit pair to its byte. The lexer guarantees both
 /// inputs are ASCII hex digits, so the fallback arms are unreachable —
 /// they exist to keep this a total function with no panic path.
@@ -417,6 +406,7 @@ fn hex_pair(hi: u8, lo: u8) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Position;
 
     const RUNNING_EXAMPLE: &str = r#"
 /dts-v1/;
@@ -650,6 +640,130 @@ mod tests {
             Err(DtsError::Unexpected { at, .. }) => assert_eq!(at.line, 2),
             other => panic!("expected Unexpected, got {other:?}"),
         }
+    }
+
+    /// A provider holding the given `(name, contents)` files.
+    fn files(list: &[(&str, &str)]) -> MapFileProvider {
+        let mut files = MapFileProvider::new();
+        for (name, contents) in list {
+            files.insert(name, contents);
+        }
+        files
+    }
+
+    #[test]
+    fn syntax_error_outranks_a_later_lexical_error() {
+        // The parser stops at the misplaced '}' and never lexes the
+        // string that runs off the end of the input.
+        let r = parse("/dts-v1/;\n/ { a = <1> }; b = \"unterminated");
+        assert_eq!(
+            r.unwrap_err().to_string(),
+            "2:13: expected ';' after property, found '}'"
+        );
+    }
+
+    #[test]
+    fn missing_include_outranks_a_later_lexical_error() {
+        let r = parse("/include/ \"nope.dtsi\"\n/ { a = \"unterminated; };");
+        assert_eq!(
+            r,
+            Err(DtsError::MissingInclude {
+                at: Position::new(1, 1),
+                file: "nope.dtsi".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn include_inside_a_node_body_supplies_a_property_and_a_child() {
+        let files = files(&[("uart.dtsi", "status = \"okay\";\nclk { rate = <10>; };")]);
+        let main = "/ { uart@0 { reg = <0>; /include/ \"uart.dtsi\" }; };";
+        let t = parse_with_includes(main, &files).unwrap();
+        let want = parse("/ { uart@0 { reg = <0>; status = \"okay\"; clk { rate = <10>; }; }; };");
+        assert_eq!(t, want.unwrap());
+        assert_eq!(t.find("/uart@0/clk").unwrap().prop_u32("rate"), Some(10));
+    }
+
+    #[test]
+    fn included_file_may_close_the_node_the_main_file_opened() {
+        let files = files(&[("tail.dtsi", "x = <1>; }; b { };")]);
+        let t = parse_with_includes("/ { a { /include/ \"tail.dtsi\" };", &files).unwrap();
+        assert_eq!(t, parse("/ { a { x = <1>; }; b { }; };").unwrap());
+    }
+
+    #[test]
+    fn empty_included_file_adds_nothing() {
+        let files = files(&[("empty.dtsi", "")]);
+        let main = "/dts-v1/;\n/ { a { /include/ \"empty.dtsi\" x = <1>; }; };";
+        let t = parse_with_includes(main, &files).unwrap();
+        assert_eq!(t, parse("/dts-v1/; / { a { x = <1>; }; };").unwrap());
+    }
+
+    #[test]
+    fn nested_includes_splice_in_order() {
+        let files = files(&[
+            ("outer.dtsi", "a = <1>; /include/ \"inner.dtsi\" c = <3>;"),
+            ("inner.dtsi", "b = <2>; /include/ \"leaf.dtsi\""),
+            ("leaf.dtsi", "n { };"),
+        ]);
+        let t = parse_with_includes("/ { /include/ \"outer.dtsi\" d = <4>; };", &files).unwrap();
+        assert_eq!(
+            t,
+            parse("/ { a = <1>; b = <2>; n { }; c = <3>; d = <4>; };").unwrap()
+        );
+    }
+
+    #[test]
+    fn errors_inside_an_include_carry_its_own_positions() {
+        let files = files(&[("bad.dtsi", "a = <1>;\n  b = ;")]);
+        let r = parse_with_includes("/ {\n /include/ \"bad.dtsi\" };", &files);
+        assert_eq!(
+            r.unwrap_err().to_string(),
+            "2:7: expected property value, found ';'"
+        );
+    }
+
+    #[test]
+    fn include_needs_a_file_name() {
+        for (src, found) in [
+            ("/ { }; /include/ foo", "identifier \"foo\""),
+            ("/ { }; /include/", "end of input"),
+        ] {
+            let r = parse(src);
+            assert!(
+                matches!(&r, Err(DtsError::Unexpected { expected, found: f, .. })
+                    if expected == "include file name" && f == found),
+                "{src}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn number_edge_cases_are_bad_numbers() {
+        for src in [
+            "/ { reg = <0x10000000000000000>; };",
+            "/ { reg = <0x>; };",
+            "/ { reg = <18446744073709551616>; };",
+        ] {
+            let r = parse(src);
+            assert!(matches!(r, Err(DtsError::BadNumber { .. })), "{src}: {r:?}");
+        }
+        let r = parse("/ { reg = <0x100000000>; };");
+        assert_eq!(
+            r.unwrap_err().to_string(),
+            "1:12: malformed number \"0x100000000 does not fit in a 32-bit cell\""
+        );
+    }
+
+    #[test]
+    fn integer_literals_read_as_dtc_reads_them() {
+        let t = parse("/ { reg = <010 0x10UL 16U 0 0X1f 07LL>; };").unwrap();
+        assert_eq!(
+            t.root.prop("reg").unwrap().flat_cells().unwrap(),
+            vec![8, 16, 16, 0, 31, 7]
+        );
+        let r = parse("/ { reg = <08>; };");
+        assert!(matches!(r, Err(DtsError::BadNumber { .. })), "{r:?}");
     }
 
     #[test]

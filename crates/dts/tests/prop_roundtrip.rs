@@ -4,7 +4,10 @@
 
 use std::fmt::Write as _;
 
-use llhsc_dts::{fdt, parse, print, Cell, DeviceTree, Node, PropValue, Property};
+use llhsc_dts::{
+    fdt, parse, parse_with_includes, print, Cell, DeviceTree, MapFileProvider, Node, PropValue,
+    Property,
+};
 use proptest::prelude::*;
 
 /// Names safe for nodes/properties in generated trees.
@@ -173,9 +176,12 @@ fn arb_document() -> impl Strategy<Value = Vec<Top>> {
     })
 }
 
-fn render_body(body: &[Stmt], out: &mut String) {
+/// Renders `body`, recording in `cuts` the offset of every statement
+/// boundary: where each statement starts, and where the list ends.
+fn render_body(body: &[Stmt], out: &mut String, cuts: &mut Vec<usize>) {
     out.push_str("{ ");
     for stmt in body {
+        cuts.push(out.len());
         match stmt {
             Stmt::Prop(p, v) => {
                 let _ = write!(out, "{} = <{v:#x}>; ", PROP_NAMES[*p]);
@@ -185,7 +191,7 @@ fn render_body(body: &[Stmt], out: &mut String) {
                     let _ = write!(out, "{}: ", LABELS[*l]);
                 }
                 let _ = write!(out, "{} ", CHILD_NAMES[*name]);
-                render_body(body, out);
+                render_body(body, out, cuts);
                 out.push_str("; ");
             }
             Stmt::DeleteNode(n) => {
@@ -196,11 +202,15 @@ fn render_body(body: &[Stmt], out: &mut String) {
             }
         }
     }
+    cuts.push(out.len());
     out.push('}');
 }
 
-fn render_document(tops: &[Top]) -> String {
+/// The document's text and the offsets of its statement boundaries, top
+/// level and in every body, ascending.
+fn render_document(tops: &[Top]) -> (String, Vec<usize>) {
     let mut out = String::from("/dts-v1/;\n");
+    let mut cuts = vec![0, out.len()];
     for top in tops {
         let body = match top {
             Top::Root(body) => {
@@ -212,10 +222,11 @@ fn render_document(tops: &[Top]) -> String {
                 body
             }
         };
-        render_body(body, &mut out);
+        render_body(body, &mut out, &mut cuts);
         out.push_str(";\n");
+        cuts.push(out.len());
     }
-    out
+    (out, cuts)
 }
 
 fn ref_set_prop(node: &mut Node, prop: Property) {
@@ -331,8 +342,46 @@ proptest! {
     /// unknown-label failures.
     #[test]
     fn sibling_merging_matches_linear_reference(tops in arb_document()) {
-        let text = render_document(&tops);
+        let (text, _) = render_document(&tops);
         prop_assert_eq!(parse(&text).ok(), ref_document(&tops), "{}", text);
+    }
+
+    /// Textual inclusion: cut at four statement boundaries a ≤ b ≤ c ≤ d,
+    /// the document is a main file that includes `[a, d)`, which in turn
+    /// includes `[b, c)`. The cuts may split bodies anywhere, leave a
+    /// part empty or hand the version tag to an included file; parsing
+    /// through the includes gives the whole text's tree (the reference
+    /// builder's), or fails as the whole text does.
+    #[test]
+    fn included_parts_parse_as_the_whole(
+        tops in arb_document(),
+        picks in (
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+        ),
+    ) {
+        let (text, cuts) = render_document(&tops);
+        let mut at = [picks.0, picks.1, picks.2, picks.3].map(|i| cuts[i.index(cuts.len())]);
+        at.sort_unstable();
+        let [a, b, c, d] = at;
+        let mut files = MapFileProvider::new();
+        files.insert("inner.dtsi", &text[b..c]);
+        files.insert(
+            "outer.dtsi",
+            &format!("{}/include/ \"inner.dtsi\"\n{}", &text[a..b], &text[c..d]),
+        );
+        let main = format!("{}/include/ \"outer.dtsi\"\n{}", &text[..a], &text[d..]);
+        let whole = parse(&text).ok();
+        prop_assert_eq!(&whole, &ref_document(&tops), "{}", text);
+        prop_assert_eq!(
+            parse_with_includes(&main, &files).ok(),
+            whole,
+            "{} split at {:?}",
+            text,
+            at
+        );
     }
 
     /// `Node::merge` into a child list that already repeats names merges

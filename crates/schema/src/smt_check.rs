@@ -179,45 +179,46 @@ fn encode_tree(
     tree: &DeviceTree,
     schemas: &SchemaSet,
 ) {
+    /// Visits `node` with `path` holding its parent's path ("" for the
+    /// root's), extended on the way in and cut back on the way out; the
+    /// path is rendered only for a node a schema binds.
     #[allow(clippy::too_many_arguments)]
     fn rec(
         session: &mut SolverSession,
         markers: &mut Vec<(TermId, RuleInfo)>,
         obligations: &mut Vec<TermId>,
         node: &Node,
-        path: String,
+        path: &mut String,
         parent_cells: (u32, u32),
         schemas: &SchemaSet,
     ) {
-        let here = if node.name.is_empty() {
-            "/".to_string()
-        } else if path == "/" {
-            format!("/{}", node.name)
-        } else {
-            format!("{path}/{}", node.name)
-        };
+        // An unnamed node is the root wherever it sits, so it starts
+        // from an empty path and gives its parent's back afterwards.
+        let outer = node.name.is_empty().then(|| std::mem::take(path));
+        let mark = path.len();
+        if !node.name.is_empty() {
+            path.push('/');
+            path.push_str(&node.name);
+        }
         for schema in schemas.applicable(node) {
+            let here = if path.is_empty() { "/" } else { path.as_str() };
             encode_binding(
                 session,
                 markers,
                 obligations,
                 node,
-                &here,
+                here,
                 parent_cells,
                 schema,
             );
         }
         let my_cells = cell_counts(node);
         for c in &node.children {
-            rec(
-                session,
-                markers,
-                obligations,
-                c,
-                here.clone(),
-                my_cells,
-                schemas,
-            );
+            rec(session, markers, obligations, c, path, my_cells, schemas);
+        }
+        path.truncate(mark);
+        if let Some(outer) = outer {
+            *path = outer;
         }
     }
     rec(
@@ -225,7 +226,7 @@ fn encode_tree(
         markers,
         obligations,
         &tree.root,
-        "/".to_string(),
+        &mut String::new(),
         (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS),
         schemas,
     );

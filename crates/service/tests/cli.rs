@@ -89,6 +89,34 @@ fn check_resolves_includes_from_the_file_directory() {
     );
 }
 
+/// `010` is octal, as dtc reads it: the SRAM spans [0x8, 0xc), which
+/// ends where the UART starts.
+const OCTAL_SRAM: &str = "/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	sram@8 { reg = <010 0x4>; };
+	uart@c { reg = <0xc 0x4>; };
+};
+";
+
+#[test]
+fn check_reads_leading_zero_literals_as_octal() {
+    let path = write_temp("octal.dts", OCTAL_SRAM);
+    let out = llhsc(&["check", path.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let blob = write_temp("octal.dtb", "");
+    let out = llhsc(&["dtb", path.to_str().unwrap(), blob.to_str().unwrap()]);
+    assert!(out.status.success());
+    let out = llhsc(&["dts", blob.to_str().unwrap()]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("reg = <0x8 0x4>;"), "{text}");
+}
+
 #[test]
 fn dtb_then_dts_roundtrip() {
     let src = write_temp("rt.dts", VALID);
