@@ -274,7 +274,9 @@ fn scale_fresh(
         cost.asserts_reused += stats.asserts_reused;
 
         let mut sem = SemanticChecker::with_options(options);
-        let sem_report = sem.check_tree(tree).expect("board is interpretable");
+        let (sem_report, _) = sem
+            .check_tree_with_stats(tree)
+            .expect("board is interpretable");
         cost.solves += sem.session_stats().checks;
         cost.cert.merge(&sem.cert_stats());
         let (hits, misses) = sem.encode_counts();
@@ -308,7 +310,9 @@ fn scale_session(
         let mut syn = SyntacticChecker::with_session(tree, schemas, session);
         let report = syn.check();
         session = syn.into_session();
-        let sem_report = sem.check_tree(tree).expect("board is interpretable");
+        let (sem_report, _) = sem
+            .check_tree_with_stats(tree)
+            .expect("board is interpretable");
         verdicts.push((report.violations.len(), sem_report.collisions.len()));
     }
     cost.solves = session.ctx().solver_stats().solves + sem.session_stats().checks;

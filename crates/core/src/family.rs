@@ -481,6 +481,11 @@ impl FamilyChecker {
         // configuration-independent, so the sweep prefilter's exact
         // numeric-overlap pairs are the real collisions; pair (i, j)
         // happens in exactly the products containing both regions.
+        // That holds for CPU addresses too: a region's CPU address
+        // depends only on its ancestors' `ranges`, and the liftable
+        // class only adds conditional subtrees under base-tree nodes
+        // or removes them whole, so a conditional `ranges` governs
+        // only its own subtree.
         let sem = SemanticChecker::new();
         let refs = sem
             .collect_refs(&plan.family_tree)

@@ -42,7 +42,7 @@
 //!     uart@60000000 { reg = <0x0 0x60000000 0x0 0x1000>; };
 //! };
 //! "#).unwrap();
-//! let report = SemanticChecker::new().check_tree(&tree).unwrap();
+//! let (report, _stats) = SemanticChecker::new().check_tree_with_stats(&tree).unwrap();
 //! assert!(!report.is_ok());
 //! let c = &report.collisions[0];
 //! assert_eq!(c.witness, 0x6000_0000); // the clashing address

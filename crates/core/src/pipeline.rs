@@ -938,7 +938,7 @@ mod tests {
             "dt-schema mode must not catch the address clash: {:?}",
             report.violations
         );
-        let semantic = SemanticChecker::new().check_tree(&tree).unwrap();
+        let (semantic, _) = SemanticChecker::new().check_tree_with_stats(&tree).unwrap();
         assert!(!semantic.collisions.is_empty());
     }
 

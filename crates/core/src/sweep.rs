@@ -17,7 +17,7 @@
 //! inside it. Zero-sized regions contain no address, so formula (7)'s
 //! `∃x` can never pick one inside them — they are never paired.
 //! Regions in different virtuality classes are never paired either,
-//! exactly as [`SemanticChecker::check_regions`] skips them.
+//! exactly as [`SemanticChecker::check_regions_with_stats`] skips them.
 //!
 //! The sweep only *prunes*: every surviving pair is still encoded and
 //! confirmed by the solver, whose refutation also proves the witness
@@ -25,7 +25,7 @@
 //! On a clean board the sweep leaves nothing to encode and the solver
 //! is never invoked.
 //!
-//! [`SemanticChecker::check_regions`]: crate::SemanticChecker::check_regions
+//! [`SemanticChecker::check_regions_with_stats`]: crate::SemanticChecker::check_regions_with_stats
 //! [`RegEntry::overlaps`]: llhsc_dts::cells::RegEntry::overlaps
 //! [`RegEntry::end`]: llhsc_dts::cells::RegEntry::end
 

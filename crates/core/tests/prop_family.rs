@@ -13,13 +13,15 @@ use llhsc_fm::FeatureModel;
 use proptest::prelude::*;
 
 /// One device of a random board: a node at one of a handful of
-/// addresses (so numeric overlaps are common), optionally a memory
-/// bank (exercising coverage), optionally claiming an interrupt line,
-/// optionally guarded by a feature literal (None = present in every
-/// product).
+/// CPU addresses (so overlaps are common), either at the root or on a
+/// bus whose `ranges` maps its bus-local offset there, optionally a
+/// memory bank (exercising coverage), optionally claiming an interrupt
+/// line, optionally guarded by a feature literal (None = present in
+/// every product).
 #[derive(Debug, Clone)]
 struct DeviceSpec {
     slot: u64,
+    on_bus: bool,
     memory: bool,
     irq: Option<u32>,
     guard: Option<(usize, bool)>,
@@ -28,12 +30,14 @@ struct DeviceSpec {
 fn arb_device(features: usize) -> impl Strategy<Value = DeviceSpec> {
     (
         0u64..4,
+        any::<bool>(),
         (0u32..4).prop_map(|x| x == 0), // memory bank with probability 1/4
         prop::option::of(0u32..3),
         prop::option::of((0..features, any::<bool>())),
     )
-        .prop_map(|(slot, memory, irq, guard)| DeviceSpec {
+        .prop_map(|(slot, on_bus, memory, irq, guard)| DeviceSpec {
             slot,
+            on_bus,
             memory,
             irq,
             guard,
@@ -59,20 +63,31 @@ fn build_input(features: usize, devices: &[DeviceSpec]) -> PipelineInput {
         "/ {\n    #address-cells = <1>;\n    #size-cells = <1>;\n    \
          memory@80000000 { device_type = \"memory\"; reg = <0x80000000 0x10000000>; };\n",
     );
+    // The bus maps its offset 0 to 0xa0000000, so a device on it
+    // overlaps a root device at the same slot only in CPU addresses.
+    let mut bus = String::from(
+        "    bus {\n        #address-cells = <1>;\n        #size-cells = <1>;\n        \
+         ranges = <0x0 0xa0000000 0x10000>;\n",
+    );
     let mut deltas = String::new();
     for (i, d) in devices.iter().enumerate() {
         // Slots are 0x1000 apart while regions are 0x2000 long, so
         // adjacent slots overlap; memory banks land outside the core
         // memory so an uncovered bank is a real coverage violation.
-        let base = 0xa000_0000u64 + d.slot * 0x1000;
-        dts.push_str(&format!("    dev{i} {{ reg = <{base:#x} 0x2000>;"));
+        let offset = d.slot * 0x1000;
+        let (out, base, path) = if d.on_bus {
+            (&mut bus, offset, format!("/bus/dev{i}"))
+        } else {
+            (&mut dts, 0xa000_0000 + offset, format!("/dev{i}"))
+        };
+        out.push_str(&format!("    dev{i} {{ reg = <{base:#x} 0x2000>;"));
         if d.memory {
-            dts.push_str(" device_type = \"memory\";");
+            out.push_str(" device_type = \"memory\";");
         }
         if let Some(line) = d.irq {
-            dts.push_str(&format!(" interrupts = <{line}>;"));
+            out.push_str(&format!(" interrupts = <{line}>;"));
         }
-        dts.push_str(" };\n");
+        out.push_str(" };\n");
         if let Some((f, positive)) = d.guard {
             let lit = if positive {
                 format!("f{f}")
@@ -80,11 +95,12 @@ fn build_input(features: usize, devices: &[DeviceSpec]) -> PipelineInput {
                 format!("!f{f}")
             };
             deltas.push_str(&format!(
-                "delta guard{i} when !({lit}) {{ removes /dev{i}; }}\n"
+                "delta guard{i} when !({lit}) {{ removes {path}; }}\n"
             ));
         }
     }
-    dts.push_str("};\n");
+    dts.push_str(&bus);
+    dts.push_str("    };\n};\n");
 
     let mut model = FeatureModel::new("Board");
     let root = model.root();

@@ -85,13 +85,13 @@ proptest! {
     ) {
         let expected: Vec<_> = boards
             .iter()
-            .map(|b| keys(&SemanticChecker::new().check_regions(b)))
+            .map(|b| keys(&SemanticChecker::new().check_regions_with_stats(b).0))
             .collect();
 
         let mut shared = SemanticChecker::new();
         let first_pass: Vec<_> = boards
             .iter()
-            .map(|b| keys(&shared.check_regions(b)))
+            .map(|b| keys(&shared.check_regions_with_stats(b).0))
             .collect();
         prop_assert_eq!(&first_pass, &expected);
 
@@ -100,7 +100,7 @@ proptest! {
         let replay: Vec<_> = boards
             .iter()
             .rev()
-            .map(|b| keys(&shared.check_regions(b)))
+            .map(|b| keys(&shared.check_regions_with_stats(b).0))
             .collect();
         let mut expected_rev = expected.clone();
         expected_rev.reverse();

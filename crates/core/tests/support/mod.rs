@@ -6,9 +6,9 @@
 //! takes part. The unsat core is peeled until the remaining markers
 //! are satisfiable, and each pair a core names gets a witness address
 //! read back from a solver model. None of this is shared with
-//! `SemanticChecker::check_regions`, which prefilters with the sweep
-//! and confirms each candidate with one pair-local refutation, so the
-//! two are different methods for the same verdict.
+//! `SemanticChecker::check_regions_with_stats`, which prefilters with
+//! the sweep and confirms each candidate with one pair-local
+//! refutation, so the two are different methods for the same verdict.
 
 use llhsc::{Collision, RegionRef};
 use llhsc_smt::{slice_key, CheckResult, Slice, SolverSession, TermId};

@@ -55,7 +55,7 @@ fn prefiltered_collisions_match_exhaustive_at_scale() {
     refs[10].region = RegEntry::new(refs[9].region.address + 0x100, 0x2000);
     refs[40].region = RegEntry::new(refs[41].region.address, 0x1000);
     refs[63].region = RegEntry::new(refs[0].region.address, 0x80000);
-    let pre = SemanticChecker::new().check_regions(&refs);
+    let pre = SemanticChecker::new().check_regions_with_stats(&refs).0;
     let ex = support::check_regions_exhaustive(&refs);
     let key = |cs: &[llhsc::Collision]| -> Vec<(String, usize, String, usize)> {
         cs.iter()

@@ -7,7 +7,7 @@
 //! surface's round-trip law.
 
 use llhsc_dts::cells::{decode_reg, MAX_CELLS};
-use llhsc_dts::{Cell, Node, NodePath, PropValue, Property};
+use llhsc_dts::{Cell, Node, PropValue, Property};
 use llhsc_sat::{
     check_drat, CheckMode, Cnf, DimacsError, Lit, SolveResult, Solver, SolverConfig, Var,
 };
@@ -74,9 +74,7 @@ pub fn cells(input: &[u8]) -> Result<(), String> {
             cells.iter().map(|&c| Cell::U32(c)).collect(),
         )],
     });
-    let path = NodePath::root();
-
-    let entries = match decode_reg(&path, &node, address_cells, size_cells) {
+    let entries = match decode_reg("/", &node, address_cells, size_cells) {
         Ok(entries) => entries,
         Err(_) => return Ok(()),
     };

@@ -79,11 +79,11 @@ fn regions_of(
         let mut regions = Vec::new();
         for r in &d.regions {
             regions.push(MemRegion {
-                base: to_u64(r.address, &d.path.to_string())?,
-                size: to_u64(r.size, &d.path.to_string())?,
+                base: to_u64(r.address, &d.path)?,
+                size: to_u64(r.size, &d.path)?,
             });
         }
-        out.push((d.path.to_string(), regions));
+        out.push((d.path.clone(), regions));
     }
     Ok(out)
 }
@@ -92,12 +92,15 @@ impl PlatformConfig {
     /// Extracts the platform descriptor (Listing 3) from a platform
     /// DTS: memory nodes become `.regions`, the `cpus` node becomes
     /// `.cpu_num`/`.arch.clusters`, the first UART becomes the console.
+    /// Every address is physical: regions are read at the addresses the
+    /// CPU sees, through the `ranges` of the buses above them.
     ///
     /// # Errors
     ///
     /// [`ExtractError::NoMemory`] / [`ExtractError::NoCpus`] for
     /// incomplete trees, [`ExtractError::BadReg`] for undecodable `reg`
-    /// properties.
+    /// or `ranges` properties and for regions outside their bus's
+    /// windows.
     pub fn from_tree(tree: &DeviceTree) -> Result<PlatformConfig, ExtractError> {
         let devices = collect_regions(tree).map_err(|e| ExtractError::BadReg(e.to_string()))?;
 
@@ -142,7 +145,8 @@ impl VmConfig {
     /// UART nodes become identity-mapped `.devs`; `veth` nodes become
     /// `.ipcs` with one shared-memory segment per veth `id`. The CPU
     /// affinity bitmap has a bit per `cpu` child of `/cpus` set from its
-    /// `reg` value.
+    /// `reg` value. Addresses are physical, as in
+    /// [`PlatformConfig::from_tree`].
     ///
     /// # Errors
     ///
@@ -176,11 +180,11 @@ impl VmConfig {
                 continue;
             }
             for r in &d.regions {
-                let pa = to_u64(r.address, &d.path.to_string())?;
+                let pa = to_u64(r.address, &d.path)?;
                 devs.push(DevRegion {
                     pa,
                     va: pa,
-                    size: to_u64(r.size, &d.path.to_string())?,
+                    size: to_u64(r.size, &d.path)?,
                 });
             }
         }
@@ -193,8 +197,8 @@ impl VmConfig {
             let shmem_id = d.node.prop_u32("id").unwrap_or(ipcs.len() as u32);
             if let Some(r) = d.regions.first() {
                 ipcs.push(IpcRegion {
-                    base: to_u64(r.address, &d.path.to_string())?,
-                    size: to_u64(r.size, &d.path.to_string())?,
+                    base: to_u64(r.address, &d.path)?,
+                    size: to_u64(r.size, &d.path)?,
                     shmem_id,
                 });
             }
@@ -329,6 +333,54 @@ mod tests {
             }]
         );
         assert_eq!(vm.shmem_sizes(), vec![0x1_0000]);
+    }
+
+    /// A UART at bus-local 0 behind a window at 0x10000000.
+    const BRIDGED_UART: &str = r#"
+/ {
+    #address-cells = <1>;
+    #size-cells = <1>;
+    memory@80000000 { device_type = "memory"; reg = <0x80000000 0x10000000>; };
+    cpus {
+        #address-cells = <1>;
+        #size-cells = <0>;
+        cpu@0 { device_type = "cpu"; reg = <0x0>; };
+    };
+    soc {
+        #address-cells = <1>;
+        #size-cells = <1>;
+        ranges = <0x0 0x10000000 0x100000>;
+        uart@0 { compatible = "ns16550a"; reg = <0x0 0x1000>; };
+    };
+};
+"#;
+
+    #[test]
+    fn configs_list_physical_addresses() {
+        let t = parse(BRIDGED_UART).unwrap();
+        let p = PlatformConfig::from_tree(&t).unwrap();
+        assert_eq!(p.console_base, Some(0x1000_0000));
+        let vm = VmConfig::from_tree(&t, "vm").unwrap();
+        assert_eq!(
+            vm.devs,
+            vec![DevRegion {
+                pa: 0x1000_0000,
+                va: 0x1000_0000,
+                size: 0x1000
+            }]
+        );
+    }
+
+    #[test]
+    fn region_outside_its_windows_is_bad_reg() {
+        let t =
+            parse(&BRIDGED_UART.replace("reg = <0x0 0x1000>", "reg = <0x200000 0x1000>")).unwrap();
+        let err = VmConfig::from_tree(&t, "vm").unwrap_err();
+        assert!(
+            matches!(&err, ExtractError::BadReg(m) if m.contains("/soc's ranges")),
+            "{err}"
+        );
+        assert_eq!(PlatformConfig::from_tree(&t).unwrap_err(), err);
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Tool 3: llhsc — formula (7) over bit-vectors.
-    let semantic = SemanticChecker::new().check_tree(&tree)?;
+    let (semantic, _) = SemanticChecker::new().check_tree_with_stats(&tree)?;
     println!(
         "llhsc semantic check:       {} ({} collision{})",
         if semantic.is_ok() {

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Semantic check: no two devices may claim the same address
     //    (§IV-C, formula (7) via bit-vectors).
-    let semantic = SemanticChecker::new().check_tree(&tree)?;
+    let (semantic, _) = SemanticChecker::new().check_tree_with_stats(&tree)?;
     println!(
         "semantic: {} regions checked, {} collisions",
         semantic.regions_checked,

@@ -23,7 +23,7 @@ fn listing1_memory_reg_is_two_64bit_banks() {
     let devices = collect_regions(&tree).unwrap();
     let mem = devices
         .iter()
-        .find(|d| d.path.to_string() == "/memory@40000000")
+        .find(|d| d.path == "/memory@40000000")
         .unwrap();
     assert_eq!(mem.cells, (2, 2));
     assert_eq!(
@@ -41,10 +41,7 @@ fn listing2_cpu_reg_is_volume_name() {
     // processor's number, not an address range (§II-A).
     let tree = running_example::core_tree();
     let devices = collect_regions(&tree).unwrap();
-    let cpu1 = devices
-        .iter()
-        .find(|d| d.path.to_string() == "/cpus/cpu@1")
-        .unwrap();
+    let cpu1 = devices.iter().find(|d| d.path == "/cpus/cpu@1").unwrap();
     assert_eq!(cpu1.cells, (1, 0));
     assert_eq!(cpu1.regions, vec![RegEntry::new(1, 0)]);
     let node = tree.find("/cpus/cpu@1").unwrap();

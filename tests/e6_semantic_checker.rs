@@ -59,7 +59,10 @@ fn semantic_checker_finds_the_clash_with_witness() {
     // (base address of uart) is lower than 0x80000000 (the ending
     // address of memory)" — formula (7) can.
     let tree = parse(CLASHING).unwrap();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0;
     assert_eq!(report.collisions.len(), 1);
     let c = &report.collisions[0];
     assert_eq!(c.a.path, "/memory@40000000");
@@ -76,7 +79,10 @@ fn corrected_file_is_clean() {
         "reg = <0x0 0x20000000 0x0 0x1000>;",
     );
     let tree = parse(&fixed).unwrap();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0;
     assert!(report.is_ok());
 }
 
@@ -89,14 +95,21 @@ fn boundary_precision() {
         "reg = <0x0 0x3ffff000 0x0 0x1000>;",
     );
     let tree = parse(&fine).unwrap();
-    assert!(SemanticChecker::new().check_tree(&tree).unwrap().is_ok());
+    assert!(SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0
+        .is_ok());
 
     let off_by_one = CLASHING.replace(
         "reg = <0x0 0x60000000 0x0 0x1000>;",
         "reg = <0x0 0x3ffff001 0x0 0x1000>;",
     );
     let tree = parse(&off_by_one).unwrap();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0;
     assert_eq!(report.collisions.len(), 1);
     assert_eq!(report.collisions[0].witness, 0x4000_0000);
 }
@@ -119,7 +132,10 @@ fn virtual_devices_may_alias_memory() {
 };
 "#;
     let tree = parse(src).unwrap();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0;
     // The two veths overlap each other (error); neither vs memory is
     // reported.
     assert_eq!(report.collisions.len(), 1);

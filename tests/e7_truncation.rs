@@ -33,7 +33,7 @@ fn four_banks_found_instead_of_two() {
     let devices = collect_regions(&tree).unwrap();
     let mem = devices
         .iter()
-        .find(|d| d.path.to_string() == "/memory@40000000")
+        .find(|d| d.path == "/memory@40000000")
         .unwrap();
     assert_eq!(mem.cells, (1, 1), "d3 switched the root to 1+1 cells");
     assert_eq!(mem.regions.len(), 4);
@@ -69,7 +69,10 @@ fn dt_schema_accepts_the_truncated_reg() {
 fn semantic_checker_finds_collision_at_zero() {
     // "our checker can find an actual collision on the address 0x0".
     let tree = broken_tree();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&tree)
+        .unwrap()
+        .0;
     assert!(!report.is_ok());
     let zero_collision = report
         .collisions
@@ -86,7 +89,10 @@ fn with_d4_the_product_is_clean() {
     let p = running_example::product_line()
         .derive(&["memory", "veth0", "uart@20000000", "uart@30000000", "cpu@0"])
         .unwrap();
-    let report = SemanticChecker::new().check_tree(&p.tree).unwrap();
+    let report = SemanticChecker::new()
+        .check_tree_with_stats(&p.tree)
+        .unwrap()
+        .0;
     assert!(report.is_ok(), "{:?}", report.collisions);
 }
 
@@ -109,7 +115,7 @@ fn reverse_hazard_d4_without_d3() {
     let devices = collect_regions(&p.tree).unwrap();
     let mem = devices
         .iter()
-        .find(|d| d.path.to_string() == "/memory@40000000")
+        .find(|d| d.path == "/memory@40000000")
         .unwrap();
     // One entry whose address is the concatenation 0x40000000_20000000.
     assert_eq!(mem.cells, (2, 2));

@@ -164,7 +164,7 @@ proptest! {
         size_cells in 0u32..8,
         cells in prop::collection::vec(any::<u32>(), 0..24),
     ) {
-        use llhsc_dts::{Cell, Node, NodePath, PropValue, Property};
+        use llhsc_dts::{Cell, Node, PropValue, Property};
 
         let mut node = Node::new("dev");
         node.set_prop(Property {
@@ -172,7 +172,7 @@ proptest! {
             values: vec![PropValue::Cells(cells.iter().map(|&c| Cell::U32(c)).collect())],
         });
         let decoded = llhsc_dts::cells::decode_reg(
-            &NodePath::root(),
+            "/",
             &node,
             address_cells,
             size_cells,
