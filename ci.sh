@@ -621,7 +621,11 @@ EOF
 # chains must both exit 1 with one SAT solve per encoded pair, and 4
 # times the pairs may cost at most 5 times the semantic propagations
 # (about 4 is normal; re-propagating every region and pair on each
-# solve reads about 16).
+# solve reads about 16). The encoding size is pinned too: the 96-pair
+# board may emit at most 1 600 problem clauses per encoded pair (a
+# majority-gate comparator with constant-folding gates reads 1 433; the
+# comparator without folding reads about 1 950, the and/iff/and/or
+# comparator about 3 300).
 python3 - "$LLHSC" "$SMOKE_DIR" <<'EOF'
 import re, subprocess, sys
 
@@ -640,7 +644,7 @@ def board(pairs):
         f.write("\n".join(lines) + "\n")
     return path
 
-propagations = {}
+propagations, clauses = {}, {}
 for pairs in (24, 96):
     run = subprocess.run([llhsc, "check", "--stats", board(pairs)],
                          capture_output=True, text=True)
@@ -650,10 +654,13 @@ for pairs in (24, 96):
     assert stats["pairs encoded"] == pairs, (pairs, stats)
     assert stats["SAT solve calls"] == stats["pairs encoded"], (pairs, stats)
     propagations[pairs] = stats["propagations"]
+    clauses[pairs] = stats["problem clauses"]
 ratio = propagations[96] / propagations[24]
 assert ratio <= 5, f"96 pairs propagate {ratio:.1f}x 24 pairs: {propagations}"
+per_pair = clauses[96] / 96
+assert per_pair <= 1600, f"96 pairs emit {per_pair:.0f} problem clauses per pair: {clauses}"
 print(f"overlap scaling ok: one solve per pair, {ratio:.1f}x the propagations "
-      f"for 4x the pairs")
+      f"for 4x the pairs, {per_pair:.0f} problem clauses per pair")
 EOF
 
 # Pigeonhole smoke: one VM more than there are exclusive CPUs is the

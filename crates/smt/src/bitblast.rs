@@ -1,11 +1,15 @@
 //! Bit-blasting: lowering terms to CNF over solver literals.
 //!
 //! Boolean structure goes through the Tseitin transform (every connective
-//! gets a definitional literal); bit-vector operations are expanded into
-//! gate networks (ripple-carry adders, shift-add multipliers, borrow-chain
-//! comparators). Encodings are cached per term, so shared subterms are
-//! blasted once — this is what makes the incremental [`Context`]
-//! (re)checks cheap, mirroring the paper's use of one growing Z3 instance.
+//! gets a definitional literal); bit-vector equalities become one
+//! conjunction of bitwise `iff`s and unsigned comparisons a borrow chain
+//! of majority gates (6 clauses per bit). Every gate first folds inputs
+//! that are the blaster's constant literal, repeated or complementary, so
+//! binding a variable to a constant costs one conjunction over its
+//! (possibly negated) bits. Encodings are cached per term, so shared
+//! subterms are blasted once — this is what makes the incremental
+//! [`Context`] (re)checks cheap, mirroring the paper's use of one growing
+//! Z3 instance.
 //!
 //! [`Context`]: crate::Context
 
@@ -112,14 +116,26 @@ impl Blaster {
         }
     }
 
-    // ----- gates (Tseitin definitions) -----
+    /// `Some(b)` when `l` is the blaster's own constant literal
+    /// (`true_lit` or its negation). Only that literal is folded: it is
+    /// a ground unit clause that no `pop` or retired slice can undo,
+    /// whereas a value the solver merely happens to have fixed can be.
+    fn const_of(&self, l: Lit) -> Option<bool> {
+        let t = self.true_lit?;
+        if l == t {
+            Some(true)
+        } else if l == !t {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    // ----- gates (Tseitin definitions, folding constant, repeated and
+    // complementary inputs before allocating a definitional literal) -----
 
     fn gate_and(&mut self, solver: &mut Solver, a: Lit, b: Lit) -> Lit {
-        let o = Lit::pos(solver.new_var());
-        solver.add_clause([!a, !b, o]);
-        solver.add_clause([a, !o]);
-        solver.add_clause([b, !o]);
-        o
+        self.gate_and_many(solver, &[a, b])
     }
 
     fn gate_or(&mut self, solver: &mut Solver, a: Lit, b: Lit) -> Lit {
@@ -127,6 +143,13 @@ impl Blaster {
     }
 
     fn gate_xor(&mut self, solver: &mut Solver, a: Lit, b: Lit) -> Lit {
+        match (self.const_of(a), self.const_of(b)) {
+            (Some(x), _) => return if x { !b } else { b },
+            (_, Some(y)) => return if y { !a } else { a },
+            _ if a == b => return self.false_lit(solver),
+            _ if a == !b => return self.true_lit(solver),
+            _ => {}
+        }
         let o = Lit::pos(solver.new_var());
         solver.add_clause([!a, !b, !o]);
         solver.add_clause([a, b, !o]);
@@ -142,6 +165,12 @@ impl Blaster {
 
     /// `o ↔ ite(c, t, e)`
     fn gate_mux(&mut self, solver: &mut Solver, c: Lit, t: Lit, e: Lit) -> Lit {
+        match self.const_of(c) {
+            Some(true) => return t,
+            Some(false) => return e,
+            None if t == e => return t,
+            None => {}
+        }
         let o = Lit::pos(solver.new_var());
         solver.add_clause([!c, !t, o]);
         solver.add_clause([!c, t, !o]);
@@ -150,8 +179,19 @@ impl Blaster {
         o
     }
 
-    /// Majority of three (the carry function of a full adder).
+    /// Majority of three. A constant input leaves the `and` (⊥) or the
+    /// `or` (⊤) of the other two; a repeated input decides it, and a
+    /// complementary pair leaves the third.
     fn gate_maj(&mut self, solver: &mut Solver, a: Lit, b: Lit, c: Lit) -> Lit {
+        for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b)] {
+            match self.const_of(x) {
+                Some(false) => return self.gate_and(solver, y, z),
+                Some(true) => return self.gate_or(solver, y, z),
+                None if x == y => return x,
+                None if x == !y => return z,
+                None => {}
+            }
+        }
         let o = Lit::pos(solver.new_var());
         solver.add_clause([!a, !b, o]);
         solver.add_clause([!a, !c, o]);
@@ -162,16 +202,29 @@ impl Blaster {
         o
     }
 
+    /// `o ↔ ⋀ lits`. ⊤ and repeated inputs drop out; a ⊥ input or a
+    /// complementary pair makes the conjunction ⊥; a single survivor is
+    /// returned as it is.
     fn gate_and_many(&mut self, solver: &mut Solver, lits: &[Lit]) -> Lit {
-        match lits {
+        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
+        for &l in lits {
+            match self.const_of(l) {
+                Some(true) => {}
+                Some(false) => return l,
+                None if kept.contains(&!l) => return self.false_lit(solver),
+                None if kept.contains(&l) => {}
+                None => kept.push(l),
+            }
+        }
+        match kept[..] {
             [] => self.true_lit(solver),
-            [l] => *l,
+            [l] => l,
             _ => {
                 let o = Lit::pos(solver.new_var());
-                for &l in lits {
+                for &l in &kept {
                     solver.add_clause([l, !o]);
                 }
-                let mut clause: Vec<Lit> = lits.iter().map(|&l| !l).collect();
+                let mut clause: Vec<Lit> = kept.iter().map(|&l| !l).collect();
                 clause.push(o);
                 solver.add_clause(clause);
                 o
@@ -184,83 +237,15 @@ impl Blaster {
         !self.gate_and_many(solver, &negs)
     }
 
-    // ----- bit-vector networks -----
-
-    /// Ripple-carry addition (wrapping); returns sum bits.
-    fn ripple_add(
-        &mut self,
-        solver: &mut Solver,
-        a: &[Lit],
-        b: &[Lit],
-        mut carry: Lit,
-    ) -> Vec<Lit> {
-        debug_assert_eq!(a.len(), b.len());
-        let mut out = Vec::with_capacity(a.len());
-        for i in 0..a.len() {
-            let axb = self.gate_xor(solver, a[i], b[i]);
-            let s = self.gate_xor(solver, axb, carry);
-            out.push(s);
-            if i + 1 < a.len() {
-                carry = self.gate_maj(solver, a[i], b[i], carry);
-            }
-        }
-        out
-    }
-
-    /// Unsigned `a < b` via an LSB-to-MSB borrow chain.
+    /// Unsigned `a < b` via an LSB-to-MSB borrow chain: the borrow out
+    /// of bit `i` is `MAJ(¬a_i, b_i, lt)`, one majority gate per bit.
     fn ult_chain(&mut self, solver: &mut Solver, a: &[Lit], b: &[Lit]) -> Lit {
         debug_assert_eq!(a.len(), b.len());
         let mut lt = self.false_lit(solver);
-        for i in 0..a.len() {
-            // lt' = (¬a_i ∧ b_i) ∨ ((a_i ↔ b_i) ∧ lt)
-            let strictly = self.gate_and(solver, !a[i], b[i]);
-            let eq = self.gate_iff(solver, a[i], b[i]);
-            let keep = self.gate_and(solver, eq, lt);
-            lt = self.gate_or(solver, strictly, keep);
+        for (&x, &y) in a.iter().zip(b) {
+            lt = self.gate_maj(solver, !x, y, lt);
         }
         lt
-    }
-
-    /// Barrel shifter: shifts `a` by the symbolic amount `b` (left when
-    /// `left`, logical right otherwise). Amounts ≥ width yield zero.
-    fn barrel_shift(&mut self, solver: &mut Solver, a: &[Lit], b: &[Lit], left: bool) -> Vec<Lit> {
-        let w = a.len();
-        let mut cur: Vec<Lit> = a.to_vec();
-        let stages = usize::BITS - (w - 1).leading_zeros(); // ceil(log2 w)
-        for s in 0..stages {
-            let amount = 1usize << s;
-            let sel = b[s as usize];
-            let mut next = Vec::with_capacity(w);
-            for i in 0..w {
-                let shifted = if left {
-                    if i >= amount {
-                        Some(cur[i - amount])
-                    } else {
-                        None
-                    }
-                } else if i + amount < w {
-                    Some(cur[i + amount])
-                } else {
-                    None
-                };
-                let shifted = shifted.unwrap_or_else(|| self.false_lit(solver));
-                next.push(self.gate_mux(solver, sel, shifted, cur[i]));
-            }
-            cur = next;
-        }
-        // If any bit of b beyond the stage range is set, the amount is
-        // ≥ 2^stages ≥ w (for power-of-two w; for others also covers the
-        // range [2^stages, …)); additionally amounts in
-        // [w, 2^stages) must zero the result, handled by comparing b ≥ w.
-        let wlim = self.const_bits(solver, w as u128, b.len() as u32);
-        let too_big = {
-            // b >= w  ==  not (b < w)
-            let lt = self.ult_chain(solver, b, &wlim);
-            !lt
-        };
-        cur.into_iter()
-            .map(|bit| self.gate_and(solver, bit, !too_big))
-            .collect()
     }
 
     // ----- the main lowering -----
@@ -403,139 +388,12 @@ impl Blaster {
                 let v = self.fresh_bits(solver, width);
                 self.enc_bits(v)
             }
-            BvAdd(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let zero = self.false_lit(solver);
-                let v = self.ripple_add(solver, &ba, &bb, zero);
-                self.enc_bits(v)
-            }
-            BvSub(a, b) => {
-                // a - b = a + ¬b + 1
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let nb: Vec<Lit> = bb.iter().map(|&l| !l).collect();
-                let one = self.true_lit(solver);
-                let v = self.ripple_add(solver, &ba, &nb, one);
-                self.enc_bits(v)
-            }
-            BvNeg(a) => {
-                let ba = self.bits(pool, solver, a);
-                let na: Vec<Lit> = ba.iter().map(|&l| !l).collect();
-                let zeros = self.const_bits(solver, 0, na.len() as u32);
-                let one = self.true_lit(solver);
-                let v = self.ripple_add(solver, &zeros, &na, one);
-                self.enc_bits(v)
-            }
-            BvMul(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let w = ba.len();
-                let mut acc = self.const_bits(solver, 0, w as u32);
-                for i in 0..w {
-                    // partial = (b_i ? a << i : 0), truncated to w bits
-                    let mut partial = Vec::with_capacity(w);
-                    for j in 0..w {
-                        if j < i {
-                            partial.push(self.false_lit(solver));
-                        } else {
-                            partial.push(self.gate_and(solver, bb[i], ba[j - i]));
-                        }
-                    }
-                    let zero = self.false_lit(solver);
-                    acc = self.ripple_add(solver, &acc, &partial, zero);
-                }
-                self.enc_bits(acc)
-            }
-            BvAnd(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let out = ba
-                    .iter()
-                    .zip(&bb)
-                    .map(|(&x, &y)| self.gate_and(solver, x, y))
-                    .collect();
-                self.enc_bits(out)
-            }
-            BvOr(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let out = ba
-                    .iter()
-                    .zip(&bb)
-                    .map(|(&x, &y)| self.gate_or(solver, x, y))
-                    .collect();
-                self.enc_bits(out)
-            }
-            BvXor(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let out = ba
-                    .iter()
-                    .zip(&bb)
-                    .map(|(&x, &y)| self.gate_xor(solver, x, y))
-                    .collect();
-                self.enc_bits(out)
-            }
-            BvNot(a) => {
-                let ba = self.bits(pool, solver, a);
-                let v: Vec<Lit> = ba.iter().map(|&l| !l).collect();
-                self.enc_bits(v)
-            }
-            BvShl(a, k) => {
-                let ba = self.bits(pool, solver, a);
-                let w = ba.len();
-                let k = k as usize;
-                let mut out = Vec::with_capacity(w);
-                for i in 0..w {
-                    if i < k {
-                        out.push(self.false_lit(solver));
-                    } else {
-                        out.push(ba[i - k]);
-                    }
-                }
-                self.enc_bits(out)
-            }
-            BvLshr(a, k) => {
-                let ba = self.bits(pool, solver, a);
-                let w = ba.len();
-                let k = k as usize;
-                let mut out = Vec::with_capacity(w);
-                for i in 0..w {
-                    if i + k < w {
-                        out.push(ba[i + k]);
-                    } else {
-                        out.push(self.false_lit(solver));
-                    }
-                }
-                self.enc_bits(out)
-            }
-            BvShlV(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let v = self.barrel_shift(solver, &ba, &bb, true);
-                self.enc_bits(v)
-            }
-            BvLshrV(a, b) => {
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let v = self.barrel_shift(solver, &ba, &bb, false);
-                self.enc_bits(v)
-            }
             BvUlt(a, b) => {
                 let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
                 Encoding::Bool(self.ult_chain(solver, &ba, &bb))
             }
             BvUle(a, b) => {
                 let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let gt = self.ult_chain(solver, &bb, &ba);
-                Encoding::Bool(!gt)
-            }
-            BvSlt(a, b) => {
-                // Signed compare = unsigned compare with MSBs flipped.
-                let (mut ba, mut bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let last = ba.len() - 1;
-                ba[last] = !ba[last];
-                bb[last] = !bb[last];
-                Encoding::Bool(self.ult_chain(solver, &ba, &bb))
-            }
-            BvSle(a, b) => {
-                let (mut ba, mut bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let last = ba.len() - 1;
-                ba[last] = !ba[last];
-                bb[last] = !bb[last];
                 let gt = self.ult_chain(solver, &bb, &ba);
                 Encoding::Bool(!gt)
             }
@@ -547,20 +405,6 @@ impl Blaster {
                     off: b.off + lo,
                     len: hi - lo + 1,
                 })
-            }
-            Concat(a, b) => {
-                // a is the high part.
-                let (ba, bb) = (self.bits(pool, solver, a), self.bits(pool, solver, b));
-                let mut out = bb;
-                out.extend(ba);
-                self.enc_bits(out)
-            }
-            ZeroExt { arg, extra } => {
-                let mut ba = self.bits(pool, solver, arg);
-                for _ in 0..extra {
-                    ba.push(self.false_lit(solver));
-                }
-                self.enc_bits(ba)
             }
             StrConst(id) => {
                 let v = self.const_bits(solver, id as u128, STR_WIDTH);
@@ -602,4 +446,143 @@ pub(crate) fn eval_in_model(blaster: &Blaster, model: &[bool], t: TermId) -> Opt
 pub(crate) enum EvalValue {
     Bool(bool),
     Bits(u128),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llhsc_sat::SolveResult;
+
+    type Gate = fn(&mut Blaster, &mut Solver, &[Lit]) -> Lit;
+
+    /// Checks `gate` against `truth` with every argument drawn from every
+    /// shape: one of three free variables in either polarity, or the
+    /// blaster's constant. Under each assignment of the variables the
+    /// output must be able to take the true value and no other — so a
+    /// fold that returns the wrong literal, or a gate that excludes an
+    /// assignment, fails. Unlike the term-level tests, this reaches the
+    /// folds of two identical or complementary literals inside one
+    /// bit-vector, which no term can build.
+    fn check_gate(name: &str, arity: u32, gate: Gate, truth: fn(&[bool]) -> bool) {
+        const SHAPES: usize = 8;
+        for combo in 0..SHAPES.pow(arity) {
+            let mut solver = Solver::new();
+            let mut b = Blaster::new();
+            let vars: Vec<Lit> = (0..3).map(|_| Lit::pos(solver.new_var())).collect();
+            let t = b.true_lit(&mut solver);
+            let args: Vec<Lit> = (0..arity)
+                .map(|i| match combo / SHAPES.pow(i) % SHAPES {
+                    0 => t,
+                    1 => !t,
+                    s if s % 2 == 0 => vars[(s - 2) / 2],
+                    s => !vars[(s - 2) / 2],
+                })
+                .collect();
+            let o = gate(&mut b, &mut solver, &args);
+            for asg in 0..8u32 {
+                let value = |l: Lit| {
+                    let i = vars.iter().position(|v| v.var() == l.var());
+                    match i {
+                        None => l == t,
+                        Some(i) => (asg >> i & 1 == 1) == l.is_positive(),
+                    }
+                };
+                let want = truth(&args.iter().map(|&l| value(l)).collect::<Vec<_>>());
+                let pins: Vec<Lit> = vars
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| if asg >> i & 1 == 1 { v } else { !v })
+                    .collect();
+                assert_eq!(
+                    solver.solve_with(&pins),
+                    SolveResult::Sat,
+                    "{name}{args:?} excludes assignment {asg:03b}"
+                );
+                let mut refute = pins;
+                refute.push(if want { !o } else { o });
+                assert_eq!(
+                    solver.solve_with(&refute),
+                    SolveResult::Unsat,
+                    "{name}{args:?} under {asg:03b} can differ from {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gates_match_their_truth_tables_on_every_input_shape() {
+        check_gate(
+            "and",
+            2,
+            |b, s, a| b.gate_and(s, a[0], a[1]),
+            |v| v[0] && v[1],
+        );
+        check_gate(
+            "or",
+            2,
+            |b, s, a| b.gate_or(s, a[0], a[1]),
+            |v| v[0] || v[1],
+        );
+        check_gate(
+            "xor",
+            2,
+            |b, s, a| b.gate_xor(s, a[0], a[1]),
+            |v| v[0] != v[1],
+        );
+        check_gate(
+            "iff",
+            2,
+            |b, s, a| b.gate_iff(s, a[0], a[1]),
+            |v| v[0] == v[1],
+        );
+        check_gate(
+            "mux",
+            3,
+            |b, s, a| b.gate_mux(s, a[0], a[1], a[2]),
+            |v| if v[0] { v[1] } else { v[2] },
+        );
+        check_gate(
+            "maj",
+            3,
+            |b, s, a| b.gate_maj(s, a[0], a[1], a[2]),
+            |v| v.iter().filter(|&&x| x).count() >= 2,
+        );
+        for arity in 0..=3 {
+            check_gate(
+                "and_many",
+                arity,
+                |b, s, a| b.gate_and_many(s, a),
+                |v| v.iter().all(|&x| x),
+            );
+            check_gate(
+                "or_many",
+                arity,
+                |b, s, a| b.gate_or_many(s, a),
+                |v| v.iter().any(|&x| x),
+            );
+        }
+    }
+
+    /// The unsigned value of LSB-first bits.
+    fn unsigned(bits: &[bool]) -> u8 {
+        bits.iter().rev().fold(0, |acc, &x| acc * 2 + u8::from(x))
+    }
+
+    #[test]
+    fn comparator_matches_unsigned_order_on_every_bit_shape() {
+        // `a <u b` at widths 1 and 2: the first half of the arguments is
+        // `a`, the second `b`, each least significant bit first.
+        check_gate(
+            "ult/1",
+            2,
+            |b, s, a| b.ult_chain(s, &a[..1], &a[1..]),
+            |v| unsigned(&v[..1]) < unsigned(&v[1..]),
+        );
+        check_gate(
+            "ult/2",
+            4,
+            |b, s, a| b.ult_chain(s, &a[..2], &a[2..]),
+            |v| unsigned(&v[..2]) < unsigned(&v[2..]),
+        );
+    }
 }

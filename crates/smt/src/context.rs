@@ -304,10 +304,9 @@ impl Context {
         }
     }
 
-    fn expect_same_width(&self, a: TermId, b: TermId, op: &str) -> u32 {
+    fn expect_same_width(&self, a: TermId, b: TermId, op: &str) {
         let (wa, wb) = (self.expect_bv(a, op), self.expect_bv(b, op));
         assert!(wa == wb, "{op}: width mismatch ({wa} vs {wb})");
-        wa
     }
 
     fn bv_const_value(&self, t: TermId) -> Option<u128> {
@@ -621,154 +620,17 @@ impl Context {
         )
     }
 
-    fn bv_binop(
-        &mut self,
-        a: TermId,
-        b: TermId,
-        op: &str,
-        fold: impl Fn(u128, u128, u32) -> u128,
-        mk: impl Fn(TermId, TermId) -> TermData,
-    ) -> TermId {
-        let w = self.expect_same_width(a, b, op);
-        if let (Some(x), Some(y)) = (self.bv_const_value(a), self.bv_const_value(b)) {
-            return self.bv_const(fold(x, y, w), w);
-        }
-        self.pool.mk(mk(a, b), Sort::BitVec(w))
-    }
-
-    /// Wrapping addition.
-    pub fn bv_add(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(
-            a,
-            b,
-            "bvadd",
-            |x, y, w| mask(x.wrapping_add(y), w),
-            TermData::BvAdd,
-        )
-    }
-
-    /// Wrapping subtraction.
-    pub fn bv_sub(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(
-            a,
-            b,
-            "bvsub",
-            |x, y, w| mask(x.wrapping_sub(y), w),
-            TermData::BvSub,
-        )
-    }
-
-    /// Wrapping multiplication.
-    pub fn bv_mul(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(
-            a,
-            b,
-            "bvmul",
-            |x, y, w| mask(x.wrapping_mul(y), w),
-            TermData::BvMul,
-        )
-    }
-
-    /// Two's-complement negation.
-    pub fn bv_neg(&mut self, a: TermId) -> TermId {
-        let w = self.expect_bv(a, "bvneg");
-        if let Some(x) = self.bv_const_value(a) {
-            return self.bv_const(mask(x.wrapping_neg(), w), w);
-        }
-        self.pool.mk(TermData::BvNeg(a), Sort::BitVec(w))
-    }
-
-    /// Bitwise and.
-    pub fn bv_and(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(a, b, "bvand", |x, y, _| x & y, TermData::BvAnd)
-    }
-
-    /// Bitwise or.
-    pub fn bv_or(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(a, b, "bvor", |x, y, _| x | y, TermData::BvOr)
-    }
-
-    /// Bitwise xor.
-    pub fn bv_xor(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_binop(a, b, "bvxor", |x, y, _| x ^ y, TermData::BvXor)
-    }
-
-    /// Bitwise complement.
-    pub fn bv_not(&mut self, a: TermId) -> TermId {
-        let w = self.expect_bv(a, "bvnot");
-        if let Some(x) = self.bv_const_value(a) {
-            return self.bv_const(mask(!x, w), w);
-        }
-        self.pool.mk(TermData::BvNot(a), Sort::BitVec(w))
-    }
-
-    /// Logical shift left by a constant number of bits.
-    pub fn bv_shl(&mut self, a: TermId, shift: u32) -> TermId {
-        let w = self.expect_bv(a, "bvshl");
-        if shift == 0 {
-            return a;
-        }
-        if shift >= w {
-            return self.bv_const(0, w);
-        }
-        if let Some(x) = self.bv_const_value(a) {
-            return self.bv_const(mask(x << shift, w), w);
-        }
-        self.pool.mk(TermData::BvShl(a, shift), Sort::BitVec(w))
-    }
-
-    /// Logical shift right by a constant number of bits.
-    pub fn bv_lshr(&mut self, a: TermId, shift: u32) -> TermId {
-        let w = self.expect_bv(a, "bvlshr");
-        if shift == 0 {
-            return a;
-        }
-        if shift >= w {
-            return self.bv_const(0, w);
-        }
-        if let Some(x) = self.bv_const_value(a) {
-            return self.bv_const(x >> shift, w);
-        }
-        self.pool.mk(TermData::BvLshr(a, shift), Sort::BitVec(w))
-    }
-
-    /// Logical shift left by a symbolic amount of the same width;
-    /// amounts ≥ width yield zero (SMT-LIB `bvshl` semantics).
-    pub fn bv_shl_term(&mut self, a: TermId, b: TermId) -> TermId {
-        let w = self.expect_same_width(a, b, "bvshl");
-        if let (Some(x), Some(k)) = (self.bv_const_value(a), self.bv_const_value(b)) {
-            let v = if k >= u128::from(w) {
-                0
-            } else {
-                mask(x << k, w)
-            };
-            return self.bv_const(v, w);
-        }
-        self.pool.mk(TermData::BvShlV(a, b), Sort::BitVec(w))
-    }
-
-    /// Logical shift right by a symbolic amount of the same width;
-    /// amounts ≥ width yield zero (SMT-LIB `bvlshr` semantics).
-    pub fn bv_lshr_term(&mut self, a: TermId, b: TermId) -> TermId {
-        let w = self.expect_same_width(a, b, "bvlshr");
-        if let (Some(x), Some(k)) = (self.bv_const_value(a), self.bv_const_value(b)) {
-            let v = if k >= u128::from(w) { 0 } else { x >> k };
-            return self.bv_const(v, w);
-        }
-        self.pool.mk(TermData::BvLshrV(a, b), Sort::BitVec(w))
-    }
-
     fn bv_cmp(
         &mut self,
         a: TermId,
         b: TermId,
         op: &str,
-        fold: impl Fn(u128, u128, u32) -> bool,
+        fold: impl Fn(u128, u128) -> bool,
         mk: impl Fn(TermId, TermId) -> TermData,
     ) -> TermId {
-        let w = self.expect_same_width(a, b, op);
+        self.expect_same_width(a, b, op);
         if let (Some(x), Some(y)) = (self.bv_const_value(a), self.bv_const_value(b)) {
-            return self.bool_const(fold(x, y, w));
+            return self.bool_const(fold(x, y));
         }
         self.pool.mk(mk(a, b), Sort::Bool)
     }
@@ -778,7 +640,7 @@ impl Context {
         if a == b {
             return self.bool_const(false);
         }
-        self.bv_cmp(a, b, "bvult", |x, y, _| x < y, TermData::BvUlt)
+        self.bv_cmp(a, b, "bvult", |x, y| x < y, TermData::BvUlt)
     }
 
     /// Unsigned less-or-equal.
@@ -786,54 +648,7 @@ impl Context {
         if a == b {
             return self.bool_const(true);
         }
-        self.bv_cmp(a, b, "bvule", |x, y, _| x <= y, TermData::BvUle)
-    }
-
-    /// Unsigned greater-than (sugar for swapped [`Context::bv_ult`]).
-    pub fn bv_ugt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_ult(b, a)
-    }
-
-    /// Unsigned greater-or-equal (sugar for swapped [`Context::bv_ule`]).
-    pub fn bv_uge(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_ule(b, a)
-    }
-
-    fn to_signed(x: u128, w: u32) -> i128 {
-        let sign = 1u128 << (w - 1);
-        if x & sign != 0 {
-            (x as i128) - ((sign as i128) << 1)
-        } else {
-            x as i128
-        }
-    }
-
-    /// Signed less-than (two's complement).
-    pub fn bv_slt(&mut self, a: TermId, b: TermId) -> TermId {
-        if a == b {
-            return self.bool_const(false);
-        }
-        self.bv_cmp(
-            a,
-            b,
-            "bvslt",
-            |x, y, w| Context::to_signed(x, w) < Context::to_signed(y, w),
-            TermData::BvSlt,
-        )
-    }
-
-    /// Signed less-or-equal (two's complement).
-    pub fn bv_sle(&mut self, a: TermId, b: TermId) -> TermId {
-        if a == b {
-            return self.bool_const(true);
-        }
-        self.bv_cmp(
-            a,
-            b,
-            "bvsle",
-            |x, y, w| Context::to_signed(x, w) <= Context::to_signed(y, w),
-            TermData::BvSle,
-        )
+        self.bv_cmp(a, b, "bvule", |x, y| x <= y, TermData::BvUle)
     }
 
     /// Bits `lo..=hi` of `a` (bit 0 is the LSB); result width is
@@ -857,36 +672,6 @@ impl Context {
         }
         self.pool
             .mk(TermData::Extract { hi, lo, arg: a }, Sort::BitVec(nw))
-    }
-
-    /// Concatenation `hi ++ lo`; `hi`'s bits become the most significant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the combined width exceeds 128.
-    pub fn bv_concat(&mut self, hi: TermId, lo: TermId) -> TermId {
-        let wh = self.expect_bv(hi, "concat");
-        let wl = self.expect_bv(lo, "concat");
-        let w = wh + wl;
-        assert!(w <= 128, "concat width {w} exceeds 128");
-        if let (Some(x), Some(y)) = (self.bv_const_value(hi), self.bv_const_value(lo)) {
-            return self.bv_const((x << wl) | y, w);
-        }
-        self.pool.mk(TermData::Concat(hi, lo), Sort::BitVec(w))
-    }
-
-    /// Zero-extends `a` by `extra` bits.
-    pub fn bv_zero_ext(&mut self, a: TermId, extra: u32) -> TermId {
-        let w = self.expect_bv(a, "zero_extend");
-        if extra == 0 {
-            return a;
-        }
-        assert!(w + extra <= 128, "zero_extend width exceeds 128");
-        if let Some(x) = self.bv_const_value(a) {
-            return self.bv_const(x, w + extra);
-        }
-        self.pool
-            .mk(TermData::ZeroExt { arg: a, extra }, Sort::BitVec(w + extra))
     }
 
     // ----- string terms -----
@@ -1453,110 +1238,13 @@ mod tests {
         let a = ctx.bool_var("a");
         assert_eq!(ctx.and([a, t]), a);
         assert_eq!(ctx.implies(f, a), t);
-        let x = ctx.bv_const(3, 8);
-        let y = ctx.bv_const(5, 8);
-        let s = ctx.bv_add(x, y);
-        assert_eq!(ctx.bv_const(8, 8), s);
+        let x = ctx.bv_const(0x35, 8);
+        let y = ctx.bv_const(0x53, 8);
+        let hi = ctx.bv_extract(x, 7, 4);
+        assert_eq!(ctx.bv_const(3, 4), hi);
         let c = ctx.bv_ult(x, y);
         assert_eq!(c, t);
-    }
-
-    #[test]
-    fn bv_arith_model() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_var("x", 16);
-        let five = ctx.bv_const(5, 16);
-        let sum = ctx.bv_add(x, five);
-        let target = ctx.bv_const(12, 16);
-        let e = ctx.eq(sum, target);
-        ctx.assert(e);
-        assert_eq!(ctx.check(), CheckResult::Sat);
-        assert_eq!(ctx.model().unwrap().eval_bv(x), Some(7));
-    }
-
-    #[test]
-    fn bv_mul_model() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_var("x", 8);
-        let y = ctx.bv_var("y", 8);
-        let p = ctx.bv_mul(x, y);
-        let target = ctx.bv_const(35, 8);
-        let e = ctx.eq(p, target);
-        ctx.assert(e);
-        let two = ctx.bv_const(2, 8);
-        let gx = ctx.bv_ugt(x, two);
-        let gy = ctx.bv_ugt(y, two);
-        ctx.assert(gx);
-        ctx.assert(gy);
-        assert_eq!(ctx.check(), CheckResult::Sat);
-        let m = ctx.model().unwrap();
-        let (vx, vy) = (m.eval_bv(x).unwrap(), m.eval_bv(y).unwrap());
-        assert_eq!((vx * vy) & 0xff, 35);
-        assert!(vx > 2 && vy > 2);
-    }
-
-    #[test]
-    fn bv_overflow_wraps() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_const(0xff, 8);
-        let one = ctx.bv_const(1, 8);
-        let s = ctx.bv_add(x, one);
-        assert_eq!(ctx.bv_const(0, 8), s);
-    }
-
-    #[test]
-    fn signed_compare() {
-        let mut ctx = Context::new();
-        let minus_one = ctx.bv_const(0xff, 8);
-        let one = ctx.bv_const(1, 8);
-        let t = ctx.bool_const(true);
-        let slt = ctx.bv_slt(minus_one, one);
-        assert_eq!(slt, t);
-        let ult = ctx.bv_ult(minus_one, one);
-        assert_eq!(ult, ctx.bool_const(false));
-    }
-
-    #[test]
-    fn signed_compare_symbolic() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_var("x", 8);
-        let zero = ctx.bv_const(0, 8);
-        let neg = ctx.bv_slt(x, zero);
-        let hi = ctx.bv_const(0x7f, 8);
-        let big = ctx.bv_ugt(x, hi);
-        ctx.assert(neg);
-        // Negative in signed terms == MSB set == unsigned > 0x7f.
-        let nb = ctx.not(big);
-        ctx.push();
-        ctx.assert(nb);
-        assert_eq!(ctx.check(), CheckResult::Unsat);
-        ctx.pop();
-        ctx.assert(big);
-        assert_eq!(ctx.check(), CheckResult::Sat);
-    }
-
-    #[test]
-    fn extract_concat_roundtrip() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_var("x", 16);
-        let hi = ctx.bv_extract(x, 15, 8);
-        let lo = ctx.bv_extract(x, 7, 0);
-        let back = ctx.bv_concat(hi, lo);
-        let e = ctx.eq(back, x);
-        let ne = ctx.not(e);
-        ctx.assert(ne);
-        assert_eq!(ctx.check(), CheckResult::Unsat);
-    }
-
-    #[test]
-    fn shifts() {
-        let mut ctx = Context::new();
-        let x = ctx.bv_const(0b1011, 8);
-        assert_eq!(ctx.bv_shl(x, 2), ctx.bv_const(0b101100, 8));
-        assert_eq!(ctx.bv_lshr(x, 1), ctx.bv_const(0b101, 8));
-        assert_eq!(ctx.bv_shl(x, 9), ctx.bv_const(0, 8));
-        let y = ctx.bv_var("y", 8);
-        assert_eq!(ctx.bv_shl(y, 0), y);
+        assert_eq!(ctx.bv_ule(y, x), f);
     }
 
     #[test]
@@ -1676,7 +1364,7 @@ mod tests {
         let mut ctx = Context::new();
         let a = ctx.bv_var("a", 8);
         let b = ctx.bv_var("b", 16);
-        let _ = ctx.bv_add(a, b);
+        let _ = ctx.bv_ult(a, b);
     }
 
     #[test]
@@ -1839,16 +1527,15 @@ mod tests {
     fn encode_counts_track_reuse() {
         let mut ctx = Context::new();
         let x = ctx.bv_var("x", 8);
-        let three = ctx.bv_const(3, 8);
-        let sum = ctx.bv_add(x, three);
-        let five = ctx.bv_const(5, 8);
-        let e1 = ctx.eq(sum, five);
+        let low = ctx.bv_extract(x, 3, 0);
+        let five = ctx.bv_const(5, 4);
+        let e1 = ctx.eq(low, five);
         ctx.assert(e1);
         let (h0, m0) = ctx.encode_counts();
         assert!(m0 > 0);
-        // A second formula over the same `x + 3` hits the cache.
-        let nine = ctx.bv_const(9, 8);
-        let e2 = ctx.eq(sum, nine);
+        // A second formula over the same `x[3:0]` hits the cache.
+        let nine = ctx.bv_const(9, 4);
+        let e2 = ctx.eq(low, nine);
         ctx.assert(e2);
         let (h1, m1) = ctx.encode_counts();
         assert!(h1 > h0, "shared subterm should be a cache hit");

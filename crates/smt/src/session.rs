@@ -303,7 +303,7 @@ mod tests {
         let x = s.ctx_mut().bv_var("x", 8);
         let lo = s.ctx_mut().bv_const(10, 8);
         let hi = s.ctx_mut().bv_const(5, 8);
-        let above = s.ctx_mut().bv_ugt(x, lo); // x > 10
+        let above = s.ctx_mut().bv_ult(lo, x); // x > 10
         let below = s.ctx_mut().bv_ult(x, hi); // x < 5
         let a = s.slice(1);
         s.assert_in(a, above);
@@ -373,7 +373,7 @@ mod tests {
         let x = s.ctx_mut().bv_var("x", 8);
         let lo = s.ctx_mut().bv_const(10, 8);
         let hi = s.ctx_mut().bv_const(5, 8);
-        let above = s.ctx_mut().bv_ugt(x, lo); // x > 10
+        let above = s.ctx_mut().bv_ult(lo, x); // x > 10
         let below = s.ctx_mut().bv_ult(x, hi); // x < 5
         let a = s.slice(1);
         s.assert_in(a, above);

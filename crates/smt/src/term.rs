@@ -73,37 +73,13 @@ pub(crate) enum TermData {
         index: u64,
         width: u32,
     },
-    BvAdd(TermId, TermId),
-    BvSub(TermId, TermId),
-    BvMul(TermId, TermId),
-    BvNeg(TermId),
-    BvAnd(TermId, TermId),
-    BvOr(TermId, TermId),
-    BvXor(TermId, TermId),
-    BvNot(TermId),
-    /// Logical shift left by a constant amount.
-    BvShl(TermId, u32),
-    /// Logical shift right by a constant amount.
-    BvLshr(TermId, u32),
-    /// Logical shift left by a symbolic amount (same width).
-    BvShlV(TermId, TermId),
-    /// Logical shift right by a symbolic amount (same width).
-    BvLshrV(TermId, TermId),
     BvUlt(TermId, TermId),
     BvUle(TermId, TermId),
-    BvSlt(TermId, TermId),
-    BvSle(TermId, TermId),
     /// Bits `lo..=hi` of the operand (LSB = bit 0).
     Extract {
         hi: u32,
         lo: u32,
         arg: TermId,
-    },
-    /// `hi ++ lo` — `hi`'s bits become the most significant.
-    Concat(TermId, TermId),
-    ZeroExt {
-        arg: TermId,
-        extra: u32,
     },
 
     /// Interned string constant; payload is the intern id.
@@ -227,46 +203,10 @@ impl TermPool {
                     width = (width as usize).div_ceil(4)
                 ));
             }
-            BvAdd(a, b) => bin(self, out, "bvadd", a, b),
-            BvSub(a, b) => bin(self, out, "bvsub", a, b),
-            BvMul(a, b) => bin(self, out, "bvmul", a, b),
-            BvNeg(a) => {
-                out.push_str("(bvneg ");
-                self.display(a, out);
-                out.push(')');
-            }
-            BvAnd(a, b) => bin(self, out, "bvand", a, b),
-            BvOr(a, b) => bin(self, out, "bvor", a, b),
-            BvXor(a, b) => bin(self, out, "bvxor", a, b),
-            BvNot(a) => {
-                out.push_str("(bvnot ");
-                self.display(a, out);
-                out.push(')');
-            }
-            BvShl(a, k) => {
-                out.push_str(&format!("(bvshl-const {k} "));
-                self.display(a, out);
-                out.push(')');
-            }
-            BvLshr(a, k) => {
-                out.push_str(&format!("(bvlshr-const {k} "));
-                self.display(a, out);
-                out.push(')');
-            }
-            BvShlV(a, b) => bin(self, out, "bvshl", a, b),
-            BvLshrV(a, b) => bin(self, out, "bvlshr", a, b),
             BvUlt(a, b) => bin(self, out, "bvult", a, b),
             BvUle(a, b) => bin(self, out, "bvule", a, b),
-            BvSlt(a, b) => bin(self, out, "bvslt", a, b),
-            BvSle(a, b) => bin(self, out, "bvsle", a, b),
             Extract { hi, lo, arg } => {
                 out.push_str(&format!("((_ extract {hi} {lo}) "));
-                self.display(arg, out);
-                out.push(')');
-            }
-            Concat(a, b) => bin(self, out, "concat", a, b),
-            ZeroExt { arg, extra } => {
-                out.push_str(&format!("((_ zero_extend {extra}) "));
                 self.display(arg, out);
                 out.push(')');
             }

@@ -1,13 +1,15 @@
-//! Property-based tests: bit-blasted bit-vector semantics against native
-//! `u64`/`i64` arithmetic.
+//! Bit-blasted semantics against native evaluation.
 //!
-//! For each operation we assert `op(x, y) != expected` for concrete x, y
+//! The property tests assert `op(x, y) != expected` for concrete x, y
 //! and require UNSAT — i.e. the gate network provably computes the same
 //! function as the reference implementation on those inputs. Inputs are
 //! fed in as *variables constrained by equality* (not constants) so the
-//! constant folder cannot short-circuit the gate network under test.
+//! term layer's constant folder cannot short-circuit the gate network
+//! under test. The exhaustive tests below drive every encoder through
+//! every operand shape and input assignment at widths 1–4, including the
+//! constant, repeated and complementary inputs that the gates fold.
 
-use llhsc_smt::{CheckResult, Context, TermId};
+use llhsc_smt::{check_drat, CheckMode, CheckOptions, CheckResult, Context, Sort, TermId};
 use proptest::prelude::*;
 
 fn mask(v: u64, w: u32) -> u64 {
@@ -53,70 +55,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn add_matches(x in any::<u64>(), y in any::<u64>(), w in 1u32..=64) {
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t = ctx.bv_add(xv, yv);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w).wrapping_add(mask(y, w)), w));
-    }
-
-    #[test]
-    fn sub_matches(x in any::<u64>(), y in any::<u64>(), w in 1u32..=64) {
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t = ctx.bv_sub(xv, yv);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w).wrapping_sub(mask(y, w)), w));
-    }
-
-    #[test]
-    fn mul_matches(x in any::<u64>(), y in any::<u64>(), w in 1u32..=16) {
-        // Multiplication networks are O(w²); small widths keep this fast.
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t = ctx.bv_mul(xv, yv);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w).wrapping_mul(mask(y, w)), w));
-    }
-
-    #[test]
-    fn neg_matches(x in any::<u64>(), w in 1u32..=64) {
-        let mut ctx = Context::new();
-        let (xv, _) = pinned_vars(&mut ctx, w, x, 0);
-        let t = ctx.bv_neg(xv);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w).wrapping_neg(), w));
-    }
-
-    #[test]
-    fn bitwise_matches(x in any::<u64>(), y in any::<u64>(), w in 1u32..=64) {
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t_and = ctx.bv_and(xv, yv);
-        let t_or = ctx.bv_or(xv, yv);
-        let t_xor = ctx.bv_xor(xv, yv);
-        let t_not = ctx.bv_not(xv);
-        let ok_and = {
-            let e = ctx.bv_const(u128::from(mask(x, w) & mask(y, w)), w);
-
-            ctx.eq(t_and, e)
-        };
-        let ok_or = {
-            let e = ctx.bv_const(u128::from(mask(x, w) | mask(y, w)), w);
-            ctx.eq(t_or, e)
-        };
-        let ok_xor = {
-            let e = ctx.bv_const(u128::from(mask(x, w) ^ mask(y, w)), w);
-            ctx.eq(t_xor, e)
-        };
-        let ok_not = {
-            let e = ctx.bv_const(u128::from(mask(!mask(x, w), w)), w);
-            ctx.eq(t_not, e)
-        };
-        let all = ctx.and([ok_and, ok_or, ok_xor, ok_not]);
-        let ne = ctx.not(all);
-        ctx.assert(ne);
-        prop_assert_eq!(ctx.check(), CheckResult::Unsat);
-    }
-
-    #[test]
     fn unsigned_compare_matches(x in any::<u64>(), y in any::<u64>(), w in 1u32..=64) {
         let (mx, my) = (mask(x, w), mask(y, w));
         let mut ctx = Context::new();
@@ -131,41 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn signed_compare_matches(x in any::<u64>(), y in any::<u64>(), w in 2u32..=64) {
-        let sign = |v: u64| -> i128 {
-            let m = mask(v, w);
-            if m >> (w - 1) & 1 == 1 {
-                m as i128 - (1i128 << w)
-            } else {
-                m as i128
-            }
-        };
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t = ctx.bv_slt(xv, yv);
-        prop_assert!(assert_bool(&mut ctx, t, sign(x) < sign(y)));
-
-        let mut ctx = Context::new();
-        let (xv, yv) = pinned_vars(&mut ctx, w, x, y);
-        let t = ctx.bv_sle(xv, yv);
-        prop_assert!(assert_bool(&mut ctx, t, sign(x) <= sign(y)));
-    }
-
-    #[test]
-    fn shifts_match(x in any::<u64>(), w in 1u32..=64, k in 0u32..64) {
-        let k = k % w;
-        let mut ctx = Context::new();
-        let (xv, _) = pinned_vars(&mut ctx, w, x, 0);
-        let t = ctx.bv_shl(xv, k);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w) << k, w));
-
-        let mut ctx = Context::new();
-        let (xv, _) = pinned_vars(&mut ctx, w, x, 0);
-        let t = ctx.bv_lshr(xv, k);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w) >> k, w));
-    }
-
-    #[test]
     fn extract_matches(x in any::<u64>(), w in 2u32..=64, a in 0u32..64, b in 0u32..64) {
         let (hi, lo) = ((a.max(b)) % w, (a.min(b)) % w);
         let (hi, lo) = (hi.max(lo), lo.min(hi));
@@ -176,62 +79,393 @@ proptest! {
         prop_assert!(assert_equals(&mut ctx, t, mask(mask(x, w) >> lo, nw), nw));
     }
 
+    /// Folded (constant) and blasted (variable) paths agree on
+    /// comparisons and extraction.
     #[test]
-    fn concat_matches(x in any::<u32>(), y in any::<u32>(), wh in 1u32..=32, wl in 1u32..=32) {
-        let (mx, my) = (mask(x.into(), wh), mask(y.into(), wl));
-        let mut ctx = Context::new();
-        let hv = ctx.bv_var("h", wh);
-        let lv = ctx.bv_var("l", wl);
-        let hc = ctx.bv_const(u128::from(mx), wh);
-        let lc = ctx.bv_const(u128::from(my), wl);
-        let eh = ctx.eq(hv, hc);
-        let el = ctx.eq(lv, lc);
-        ctx.assert(eh);
-        ctx.assert(el);
-        let t = ctx.bv_concat(hv, lv);
-        prop_assert!(assert_equals(&mut ctx, t, (mx << wl) | my, wh + wl));
-    }
-
-    #[test]
-    fn zero_ext_matches(x in any::<u64>(), w in 1u32..=32, extra in 0u32..=32) {
-        let mut ctx = Context::new();
-        let (xv, _) = pinned_vars(&mut ctx, w, x, 0);
-        let t = ctx.bv_zero_ext(xv, extra);
-        prop_assert!(assert_equals(&mut ctx, t, mask(x, w), w + extra));
-    }
-
-    #[test]
-    fn symbolic_shifts_match(x in any::<u64>(), k in any::<u8>(), w in 1u32..=64) {
-        // The amount operand is itself w bits wide, so the effective
-        // amount is k mod 2^w; SMT-LIB semantics then give zero for
-        // effective amounts >= width (still reachable for every w).
-        let k = mask(u64::from(k), w);
-        let expected_shl = if k >= u64::from(w) { 0 } else { mask(mask(x, w) << k, w) };
-        let expected_shr = if k >= u64::from(w) { 0 } else { mask(x, w) >> k };
-
-        let mut ctx = Context::new();
-        let (xv, kv) = pinned_vars(&mut ctx, w, x, k);
-        let t = ctx.bv_shl_term(xv, kv);
-        prop_assert!(assert_equals(&mut ctx, t, expected_shl, w));
-
-        let mut ctx = Context::new();
-        let (xv, kv) = pinned_vars(&mut ctx, w, x, k);
-        let t = ctx.bv_lshr_term(xv, kv);
-        prop_assert!(assert_equals(&mut ctx, t, expected_shr, w));
-    }
-
-    /// Folded (constant) and blasted (variable) paths agree on add/mul.
-    #[test]
-    fn folding_agrees_with_blasting(x in any::<u16>(), y in any::<u16>()) {
+    fn folding_agrees_with_blasting(x in any::<u16>(), y in any::<u16>(), a in 0u32..16, b in 0u32..16) {
+        let (hi, lo) = (a.max(b), a.min(b));
         let mut ctx = Context::new();
         let xc = ctx.bv_const(u128::from(x), 16);
         let yc = ctx.bv_const(u128::from(y), 16);
-        let folded = ctx.bv_add(xc, yc); // folds to a constant
+        let folded_lt = ctx.bv_ult(xc, yc); // folds to a Bool constant
+        let folded_ext = ctx.bv_extract(xc, hi, lo); // folds to a constant
         let (xv, yv) = pinned_vars(&mut ctx, 16, x.into(), y.into());
-        let blasted = ctx.bv_add(xv, yv);
-        let eq = ctx.eq(folded, blasted);
-        let ne = ctx.not(eq);
+        let blasted_lt = ctx.bv_ult(xv, yv);
+        let blasted_ext = ctx.bv_extract(xv, hi, lo);
+        let same_lt = ctx.iff(folded_lt, blasted_lt);
+        let same_ext = ctx.eq(folded_ext, blasted_ext);
+        let both = ctx.and([same_lt, same_ext]);
+        let ne = ctx.not(both);
         ctx.assert(ne);
         prop_assert_eq!(ctx.check(), CheckResult::Unsat);
     }
+}
+
+// ----- exhaustive small-width equivalence -----
+
+/// Bool operand shapes. Each one reaches the bit-blaster as a term of its
+/// own, so the term layer's folding cannot hide what the gates do with a
+/// constant, repeated or complementary input.
+#[derive(Clone, Copy, Debug)]
+enum BoolShape {
+    /// The free variable `a`.
+    A,
+    /// The free variable `b`.
+    B,
+    /// `0 <= k` for a free 1-bit `k`: blasted to the constant true.
+    True,
+    /// `k < 0`: blasted to the constant false.
+    False,
+    /// `a = true`: a second term for `a`'s literal.
+    AgainA,
+    /// `¬a`.
+    NotA,
+}
+
+const BOOL_SHAPES: [BoolShape; 6] = [
+    BoolShape::A,
+    BoolShape::B,
+    BoolShape::True,
+    BoolShape::False,
+    BoolShape::AgainA,
+    BoolShape::NotA,
+];
+
+impl BoolShape {
+    fn term(self, ctx: &mut Context) -> TermId {
+        let a = ctx.bool_var("a");
+        let k = ctx.bv_var("k", 1);
+        let zero = ctx.bv_const(0, 1);
+        match self {
+            BoolShape::A => a,
+            BoolShape::B => ctx.bool_var("b"),
+            BoolShape::True => ctx.bv_ule(zero, k),
+            BoolShape::False => ctx.bv_ult(k, zero),
+            BoolShape::AgainA => {
+                let t = ctx.bool_const(true);
+                ctx.eq(a, t)
+            }
+            BoolShape::NotA => ctx.not(a),
+        }
+    }
+
+    fn eval(self, at: Inputs) -> bool {
+        match self {
+            BoolShape::A | BoolShape::AgainA => at.a,
+            BoolShape::B => at.b,
+            BoolShape::True => true,
+            BoolShape::False => false,
+            BoolShape::NotA => !at.a,
+        }
+    }
+
+    fn uses(self) -> Uses {
+        Uses {
+            a: matches!(self, BoolShape::A | BoolShape::AgainA | BoolShape::NotA),
+            b: matches!(self, BoolShape::B),
+            ..Uses::default()
+        }
+    }
+}
+
+/// Bit-vector operand shapes of width `w`: the free variables `x` (the
+/// low `w` bits of a wider variable) and `y`, `x` again under a second
+/// term (an extract of an extract, which the term layer keeps apart but
+/// the blaster resolves to the same bits), and every constant.
+#[derive(Clone, Copy, Debug)]
+enum BvShape {
+    X,
+    Y,
+    AgainX,
+    Const(u128),
+}
+
+impl BvShape {
+    fn menu(w: u32) -> Vec<BvShape> {
+        let mut shapes = vec![BvShape::X, BvShape::Y, BvShape::AgainX];
+        shapes.extend((0..1u128 << w).map(BvShape::Const));
+        shapes
+    }
+
+    fn term(self, ctx: &mut Context, w: u32) -> TermId {
+        let v = ctx.bv_var("v", w + 2);
+        match self {
+            BvShape::X => ctx.bv_extract(v, w - 1, 0),
+            BvShape::Y => ctx.bv_var("y", w),
+            BvShape::AgainX => {
+                let wide = ctx.bv_extract(v, w, 0);
+                ctx.bv_extract(wide, w - 1, 0)
+            }
+            BvShape::Const(c) => ctx.bv_const(c, w),
+        }
+    }
+
+    fn eval(self, at: Inputs) -> u128 {
+        match self {
+            BvShape::X | BvShape::AgainX => at.x,
+            BvShape::Y => at.y,
+            BvShape::Const(c) => c,
+        }
+    }
+
+    fn uses(self) -> Uses {
+        Uses {
+            x: matches!(self, BvShape::X | BvShape::AgainX),
+            y: matches!(self, BvShape::Y),
+            ..Uses::default()
+        }
+    }
+}
+
+/// Which free inputs a case reads; only those are enumerated.
+#[derive(Clone, Copy, Debug, Default)]
+struct Uses {
+    a: bool,
+    b: bool,
+    x: bool,
+    y: bool,
+}
+
+impl std::ops::BitOr for Uses {
+    type Output = Uses;
+    fn bitor(self, o: Uses) -> Uses {
+        Uses {
+            a: self.a || o.a,
+            b: self.b || o.b,
+            x: self.x || o.x,
+            y: self.y || o.y,
+        }
+    }
+}
+
+/// One assignment of the free inputs.
+#[derive(Clone, Copy, Debug, Default)]
+struct Inputs {
+    a: bool,
+    b: bool,
+    x: u128,
+    y: u128,
+}
+
+fn assignments(uses: Uses, w: u32) -> Vec<Inputs> {
+    let bools = |used: bool| if used { vec![false, true] } else { vec![false] };
+    let words = |used: bool| -> Vec<u128> {
+        if used {
+            (0..1u128 << w).collect()
+        } else {
+            vec![0]
+        }
+    };
+    let mut out = Vec::new();
+    for a in bools(uses.a) {
+        for b in bools(uses.b) {
+            for &x in &words(uses.x) {
+                for &y in &words(uses.y) {
+                    out.push(Inputs { a, b, x, y });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The native value of a case under one assignment.
+enum Native {
+    Bool(bool),
+    Bits(u128),
+}
+
+/// Checks that the term `build` makes equals `native` under every
+/// assignment of the inputs in `uses`: with the inputs pinned by
+/// assumptions, `t = native` must be satisfiable and `t ≠ native`
+/// unsatisfiable.
+fn exhaust(
+    what: &str,
+    w: u32,
+    uses: Uses,
+    build: impl Fn(&mut Context) -> TermId,
+    native: impl Fn(Inputs) -> Native,
+) {
+    let mut ctx = Context::new();
+    let t = build(&mut ctx);
+    for at in assignments(uses, w) {
+        let mut pins = Vec::new();
+        for (used, name, value) in [(uses.a, "a", at.a), (uses.b, "b", at.b)] {
+            if used {
+                let v = ctx.bool_var(name);
+                pins.push(if value { v } else { ctx.not(v) });
+            }
+        }
+        for (used, shape, value) in [(uses.x, BvShape::X, at.x), (uses.y, BvShape::Y, at.y)] {
+            if used {
+                let v = shape.term(&mut ctx, w);
+                let c = ctx.bv_const(value, w);
+                pins.push(ctx.eq(v, c));
+            }
+        }
+        let want = match native(at) {
+            Native::Bool(v) => {
+                if v {
+                    t
+                } else {
+                    ctx.not(t)
+                }
+            }
+            Native::Bits(v) => {
+                let Sort::BitVec(width) = ctx.sort(t) else {
+                    panic!("{what}: expected a bit-vector term");
+                };
+                let c = ctx.bv_const(v, width);
+                ctx.eq(t, c)
+            }
+        };
+        let miss = ctx.not(want);
+        let hit: Vec<TermId> = pins.iter().copied().chain([want]).collect();
+        assert_eq!(
+            ctx.check_assuming(&hit),
+            CheckResult::Sat,
+            "{what} at {at:?}: the native value is excluded"
+        );
+        let wrong: Vec<TermId> = pins.iter().copied().chain([miss]).collect();
+        assert_eq!(
+            ctx.check_assuming(&wrong),
+            CheckResult::Unsat,
+            "{what} at {at:?}: a value other than the native one is possible"
+        );
+    }
+}
+
+/// A binary term builder.
+type Build = fn(&mut Context, TermId, TermId) -> TermId;
+
+/// A binary encoder under test: its name, its builder and the native
+/// function over operand values `T` it must compute.
+type Case<T> = (&'static str, Build, fn(T, T) -> bool);
+
+#[test]
+fn bool_encoders_match_native_evaluation_exhaustively() {
+    let ops: [Case<bool>; 6] = [
+        ("and", |c, p, q| c.and([p, q]), |p, q| p && q),
+        ("or", |c, p, q| c.or([p, q]), |p, q| p || q),
+        ("xor", |c, p, q| c.xor(p, q), |p, q| p ^ q),
+        ("iff", |c, p, q| c.iff(p, q), |p, q| p == q),
+        ("implies", |c, p, q| c.implies(p, q), |p, q| !p || q),
+        ("eq", |c, p, q| c.eq(p, q), |p, q| p == q),
+    ];
+    for p in BOOL_SHAPES {
+        exhaust(
+            &format!("not {p:?}"),
+            1,
+            p.uses(),
+            |ctx| {
+                let tp = p.term(ctx);
+                ctx.not(tp)
+            },
+            |at| Native::Bool(!p.eval(at)),
+        );
+        for q in BOOL_SHAPES {
+            for (name, build, eval) in ops {
+                exhaust(
+                    &format!("{name} {p:?} {q:?}"),
+                    1,
+                    p.uses() | q.uses(),
+                    |ctx| {
+                        let (tp, tq) = (p.term(ctx), q.term(ctx));
+                        build(ctx, tp, tq)
+                    },
+                    |at| Native::Bool(eval(p.eval(at), q.eval(at))),
+                );
+            }
+            for c in BOOL_SHAPES {
+                exhaust(
+                    &format!("ite {c:?} {p:?} {q:?}"),
+                    1,
+                    c.uses() | p.uses() | q.uses(),
+                    |ctx| {
+                        let (tc, tp, tq) = (c.term(ctx), p.term(ctx), q.term(ctx));
+                        ctx.ite(tc, tp, tq)
+                    },
+                    |at| Native::Bool(if c.eval(at) { p.eval(at) } else { q.eval(at) }),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn bitvector_encoders_match_native_evaluation_exhaustively() {
+    let cmps: [Case<u128>; 3] = [
+        ("ult", |c, p, q| c.bv_ult(p, q), |p, q| p < q),
+        ("ule", |c, p, q| c.bv_ule(p, q), |p, q| p <= q),
+        ("eq", |c, p, q| c.eq(p, q), |p, q| p == q),
+    ];
+    let conds = [BoolShape::A, BoolShape::True, BoolShape::False];
+    for w in 1u32..=4 {
+        for p in BvShape::menu(w) {
+            for hi in 0..w {
+                for lo in 0..=hi {
+                    exhaust(
+                        &format!("extract[{hi}:{lo}] {p:?} at width {w}"),
+                        w,
+                        p.uses(),
+                        |ctx| {
+                            let tp = p.term(ctx, w);
+                            ctx.bv_extract(tp, hi, lo)
+                        },
+                        |at| Native::Bits((p.eval(at) >> lo) & ((1 << (hi - lo + 1)) - 1)),
+                    );
+                }
+            }
+            for q in BvShape::menu(w) {
+                for (name, build, eval) in cmps {
+                    exhaust(
+                        &format!("{name} {p:?} {q:?} at width {w}"),
+                        w,
+                        p.uses() | q.uses(),
+                        |ctx| {
+                            let (tp, tq) = (p.term(ctx, w), q.term(ctx, w));
+                            build(ctx, tp, tq)
+                        },
+                        |at| Native::Bool(eval(p.eval(at), q.eval(at))),
+                    );
+                }
+                for c in conds {
+                    exhaust(
+                        &format!("ite {c:?} {p:?} {q:?} at width {w}"),
+                        w,
+                        c.uses() | p.uses() | q.uses(),
+                        |ctx| {
+                            let tc = c.term(ctx);
+                            let (tp, tq) = (p.term(ctx, w), q.term(ctx, w));
+                            ctx.ite(tc, tp, tq)
+                        },
+                        |at| Native::Bits(if c.eval(at) { p.eval(at) } else { q.eval(at) }),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// DRAT replay covers the folded gates: binding `x` to a constant folds
+/// to one conjunction over its bits, and the comparison against the same
+/// constant runs on constant bits, yet the refutation still certifies.
+#[test]
+fn certified_refutation_through_folded_gates() {
+    let mut ctx = Context::with_options(&CheckOptions {
+        certify: true,
+        ..CheckOptions::default()
+    });
+    let x = ctx.bv_var("x", 8);
+    let c = ctx.bv_const(0x5a, 8);
+    let bound = ctx.eq(x, c);
+    ctx.assert(bound);
+    let below = ctx.bv_ult(x, c);
+    let above = ctx.bv_ult(c, x);
+    assert_eq!(ctx.check_assuming(&[below]), CheckResult::Unsat);
+    assert_eq!(ctx.check_assuming(&[above]), CheckResult::Unsat);
+    assert_eq!(ctx.check(), CheckResult::Sat);
+    assert_eq!(ctx.cert_stats().proofs, 2);
+    let (cnf, proof) = ctx.export_proof().expect("certified context logs both");
+    assert!(check_drat(&cnf, &proof, CheckMode::Last).is_ok());
 }
