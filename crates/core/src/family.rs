@@ -47,10 +47,11 @@ use llhsc_smt::{
 };
 
 use crate::cache::{CacheClass, CacheEntry, PipelineCache};
-use crate::pipeline::{PipelineError, PipelineInput};
+use crate::pipeline::{blame, PipelineError, PipelineInput, StageSpan};
 use crate::report::{dedup_diagnostics, Diagnostic, Stage};
-use crate::semantic::{shared_interrupt_lines, RegionRef, SemanticChecker};
+use crate::semantic::{shared_interrupt_lines, tree_regions, SemanticChecker};
 use crate::sweep;
+use crate::tree_check::{TreeCheck, TreeChecker};
 
 /// How a family verdict is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +108,7 @@ impl ObligationFamily {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             ObligationFamily::Syntactic => 0,
             ObligationFamily::Collision => 1,
@@ -395,7 +396,7 @@ impl FamilyChecker {
 
         let (lifted, fallback, findings) = match mode {
             CheckMode::Enumerate => {
-                let findings = self.enumerate(input, &mut an, None, &mut stats, trace)?;
+                let findings = self.enumerate(input, &mut an, &mut stats, trace)?;
                 (false, None, findings)
             }
             CheckMode::Family => match liftability(input) {
@@ -404,7 +405,7 @@ impl FamilyChecker {
                     (true, None, findings)
                 }
                 Err(reason) => {
-                    let findings = self.enumerate(input, &mut an, None, &mut stats, trace)?;
+                    let findings = self.enumerate(input, &mut an, &mut stats, trace)?;
                     (false, Some(reason), findings)
                 }
             },
@@ -486,10 +487,8 @@ impl FamilyChecker {
         // class only adds conditional subtrees under base-tree nodes
         // or removes them whole, so a conditional `ranges` governs
         // only its own subtree.
-        let sem = SemanticChecker::new();
-        let refs = sem
-            .collect_refs(&plan.family_tree)
-            .map_err(|e| input_error(e.to_string()))?;
+        let (refs, family_mem) =
+            tree_regions(&plan.family_tree).map_err(|e| input_error(e.to_string()))?;
         for &(i, j) in &sweep::candidate_pairs(&refs) {
             let pi = presence_term(self.session.ctx_mut(), plan, &feat_by_name, &refs[i].path);
             let pj = presence_term(self.session.ctx_mut(), plan, &feat_by_name, &refs[j].path);
@@ -522,8 +521,6 @@ impl FamilyChecker {
         // obligation ranges over the uncovered ones.
         let outer =
             SemanticChecker::memory_regions(&input.core).map_err(|e| input_error(e.to_string()))?;
-        let family_mem = SemanticChecker::memory_regions(&plan.family_tree)
-            .map_err(|e| input_error(e.to_string()))?;
         {
             let mut cov = SemanticChecker::with_options(&self.sub_options(trace));
             for r in &family_mem {
@@ -576,21 +573,19 @@ impl FamilyChecker {
             .solver
             .merge(&self.session.ctx().solver_stats().delta_since(&solver_base));
 
-        // Replay every witness configuration through the per-product
-        // path: the enumeration machinery as differential oracle and
-        // diagnostic source.
+        // Replay every witness configuration through the tree check
+        // `build` runs: the enumeration machinery as differential
+        // oracle and diagnostic source.
         let mut findings = Vec::new();
-        let mut syn_session = SolverSession::with_options(&self.sub_options(None));
-        let mut sem = SemanticChecker::with_options(&self.sub_options(None));
+        let mut walk =
+            TreeChecker::new(&input.schemas, &self.sub_options(None)).with_coverage(&outer);
         for (family, witness) in witnesses {
             let refs: Vec<&str> = witness.iter().map(String::as_str).collect();
             let product = line
                 .derive(&refs)
                 .map_err(|e| input_error(format!("witness product underivable: {e}")))?;
-            stats.products_checked += 1;
-            let by_family =
-                check_product_families(&product, input, &outer, &mut syn_session, &mut sem, stats)?;
-            let mut diagnostics = by_family[family.index()].clone();
+            let checked = check_product(&mut walk, &product, stats, trace)?;
+            let mut diagnostics = checked.findings[family.index()].clone();
             if diagnostics.is_empty() {
                 // The differential oracle disagrees with the lifted
                 // verdict — surface it loudly instead of hiding it.
@@ -610,7 +605,6 @@ impl FamilyChecker {
                 diagnostics,
             });
         }
-        stats.session.merge(&sem.session_stats());
         Ok(findings)
     }
 
@@ -621,17 +615,15 @@ impl FamilyChecker {
         &mut self,
         input: &PipelineInput,
         an: &mut Analyzer,
-        only: Option<ObligationFamily>,
         stats: &mut FamilyStats,
         trace: Option<&TraceCtx>,
     ) -> Result<Vec<FamilyFinding>, PipelineError> {
-        let _ = trace;
         let outer =
             SemanticChecker::memory_regions(&input.core).map_err(|e| input_error(e.to_string()))?;
         let line = ProductLine::new(input.core.clone(), input.deltas.clone());
         let mut found: [Option<FamilyFinding>; 5] = Default::default();
-        let mut syn_session = SolverSession::with_options(&self.sub_options(None));
-        let mut sem = SemanticChecker::with_options(&self.sub_options(None));
+        let mut walk =
+            TreeChecker::new(&input.schemas, &self.sub_options(None)).with_coverage(&outer);
         for product_ids in an.products() {
             let names: Vec<String> = product_ids
                 .iter()
@@ -639,16 +631,11 @@ impl FamilyChecker {
                 .collect();
             let refs: Vec<&str> = names.iter().map(String::as_str).collect();
             let product = line.derive(&refs).map_err(|e| input_error(e.to_string()))?;
-            stats.products_checked += 1;
-            let by_family =
-                check_product_families(&product, input, &outer, &mut syn_session, &mut sem, stats)?;
-            for family in ObligationFamily::ALL {
-                if only.is_some_and(|f| f != family) {
-                    continue;
-                }
-                let diags = &by_family[family.index()];
-                if !diags.is_empty() && found[family.index()].is_none() {
-                    found[family.index()] = Some(FamilyFinding {
+            let checked = check_product(&mut walk, &product, stats, trace)?;
+            for (family, slot) in ObligationFamily::ALL.into_iter().zip(&mut found) {
+                let diags = &checked.findings[family.index()];
+                if !diags.is_empty() && slot.is_none() {
+                    *slot = Some(FamilyFinding {
                         family,
                         witness: names.clone(),
                         diagnostics: diags.clone(),
@@ -656,7 +643,6 @@ impl FamilyChecker {
                 }
             }
         }
-        stats.session.merge(&sem.session_stats());
         Ok(found.into_iter().flatten().collect())
     }
 }
@@ -668,97 +654,32 @@ fn input_error(message: String) -> PipelineError {
     }
 }
 
-/// Runs the family-relevant per-product checks over one derived tree,
-/// returning the diagnostics bucketed by rule family (in
-/// [`ObligationFamily::ALL`] order). Shared by the enumerating oracle
-/// and the lifted mode's witness replay, so the two modes read the same
-/// evidence. Page-alignment warnings are not family obligations and are
-/// deliberately absent.
-fn check_product_families(
+/// Checks one product of the walk (an enumerated product or a replayed
+/// witness) under a `product_check` span, folding its cost into
+/// `stats`. A product whose regions cannot be decoded makes the whole
+/// input unusable.
+fn check_product(
+    walk: &mut TreeChecker,
     product: &DerivedProduct,
-    input: &PipelineInput,
-    outer: &[RegionRef],
-    syn_session: &mut SolverSession,
-    sem: &mut SemanticChecker,
     stats: &mut FamilyStats,
-) -> Result<[Vec<Diagnostic>; 5], PipelineError> {
-    let mut out: [Vec<Diagnostic>; 5] = Default::default();
-
-    // Syntactic, threading one session through every product so the
-    // shared schema-rule encodings are bit-blasted once.
-    let session = std::mem::take(syn_session);
-    let session_base = session.stats();
-    let mut syn = SyntacticChecker::with_session(&product.tree, &input.schemas, session);
-    let solver_base = syn.solver_stats();
-    let report = syn.check();
-    stats
-        .solver
-        .merge(&syn.solver_stats().delta_since(&solver_base));
-    stats
-        .session
-        .merge(&syn.session_stats().delta_since(&session_base));
-    *syn_session = syn.into_session();
-    for v in report.violations {
-        out[ObligationFamily::Syntactic.index()].push(
-            Diagnostic::error(Stage::Syntactic, v.to_string()).blame(
-                product
-                    .blame_subtree(&v.path)
-                    .into_iter()
-                    .cloned()
-                    .collect(),
-            ),
-        );
+    trace: Option<&TraceCtx>,
+) -> Result<TreeCheck, PipelineError> {
+    let span = StageSpan::begin(trace, "product_check");
+    let checked = walk.check(
+        &product.tree,
+        &|path| blame(product, path),
+        span.as_ref().map(StageSpan::child).as_ref(),
+    );
+    StageSpan::finish(span);
+    stats.products_checked += 1;
+    stats.solver.merge(&checked.solver);
+    stats.session.merge(&checked.session);
+    match checked.input_error {
+        Some(e) => Err(PipelineError {
+            diagnostics: vec![e],
+        }),
+        None => Ok(checked),
     }
-
-    // Semantic: collisions, interrupts and wrapping in one pass.
-    let (sem_report, sem_stats) = sem
-        .check_tree_with_stats(&product.tree)
-        .map_err(|e| input_error(e.to_string()))?;
-    stats.solver.merge(&sem_stats.solver);
-    for c in sem_report.collisions {
-        let mut blamed: Vec<llhsc_delta::Provenance> = product
-            .blame_subtree(&c.a.path)
-            .into_iter()
-            .cloned()
-            .collect();
-        blamed.extend(product.blame_subtree(&c.b.path).into_iter().cloned());
-        blamed.dedup();
-        out[ObligationFamily::Collision.index()]
-            .push(Diagnostic::error(Stage::Semantic, c.to_string()).blame(blamed));
-    }
-    for (line_no, users) in sem_report.interrupt_conflicts {
-        out[ObligationFamily::Interrupt.index()].push(Diagnostic::error(
-            Stage::Semantic,
-            format!(
-                "interrupt line {line_no} claimed by multiple devices: {}",
-                users.join(", ")
-            ),
-        ));
-    }
-    for r in sem_report.wrapping {
-        out[ObligationFamily::Wrapping.index()].push(Diagnostic::error(
-            Stage::Semantic,
-            format!("region wraps past the end of the address space: {r}"),
-        ));
-    }
-
-    // Coverage against the core module's memory.
-    let mem =
-        SemanticChecker::memory_regions(&product.tree).map_err(|e| input_error(e.to_string()))?;
-    let (gaps, cov_solver) = sem.check_coverage_with_stats(&mem, outer);
-    stats.solver.merge(&cov_solver);
-    for gap in gaps {
-        out[ObligationFamily::Coverage.index()].push(
-            Diagnostic::error(Stage::Semantic, gap.to_string()).blame(
-                product
-                    .blame_subtree(&gap.region.path)
-                    .into_iter()
-                    .cloned()
-                    .collect(),
-            ),
-        );
-    }
-    Ok(out)
 }
 
 /// Decides whether the product line is in the liftable class and, if
@@ -1182,6 +1103,50 @@ mod tests {
         assert_eq!(report.stats.witnesses_extracted, 1);
         assert_eq!(report.stats.products_checked, 1);
         assert!(report.stats.solver.solves > 0);
+    }
+
+    #[test]
+    fn traced_walk_records_every_product_check() {
+        use llhsc_obs::{TraceCtx, Tracer};
+        use std::sync::Arc;
+
+        let input = overlapping_board("feature B { ua? ub? }");
+        for mode in [CheckMode::Family, CheckMode::Enumerate] {
+            let tracer = Arc::new(Tracer::zeroed());
+            let mut fam = FamilyChecker::with_options(&CheckOptions {
+                trace: Some(TraceCtx::new(Arc::clone(&tracer))),
+                ..CheckOptions::default()
+            });
+            let report = fam.check(&input, mode).expect("runs");
+            let spans = tracer.spans();
+            let family = spans
+                .iter()
+                .find(|s| s.name == "family_check")
+                .expect("family_check span");
+            // The witness replay, or every enumerated product, is one
+            // product check with the stage spans `build` records.
+            let products: Vec<_> = spans.iter().filter(|s| s.name == "product_check").collect();
+            assert_eq!(products.len() as u64, report.stats.products_checked);
+            for product in &products {
+                assert_eq!(product.parent, Some(family.id));
+                let stages: Vec<_> = spans
+                    .iter()
+                    .filter(|s| s.parent == Some(product.id))
+                    .collect();
+                let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(names, ["syntactic", "semantic"], "{mode:?}");
+                assert!(stages.iter().all(|s| s.counter("asserts_encoded").is_some()
+                    && s.counter("asserts_reused").is_some()));
+            }
+            // So every solve of the run is a span. (Propagations are
+            // left out: on the lifted path some level-0 propagation
+            // falls outside every solve span.)
+            let solves: Vec<_> = spans.iter().filter(|s| s.name == "solve").collect();
+            let sum = |key: &str| -> u64 { solves.iter().filter_map(|s| s.counter(key)).sum() };
+            assert_eq!(sum("solves"), report.stats.solver.solves, "{mode:?}");
+            assert_eq!(sum("decisions"), report.stats.solver.decisions, "{mode:?}");
+            assert_eq!(sum("conflicts"), report.stats.solver.conflicts, "{mode:?}");
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@
 mod pipeline;
 mod report;
 mod semantic;
+mod tree_check;
 
 pub mod cache;
 pub mod family;
@@ -67,3 +68,4 @@ pub use llhsc_smt::{CertStats, CheckOptions, SessionStats, SolverConfig, SolverS
 pub use pipeline::{Pipeline, PipelineError, PipelineInput, PipelineOutput, VmSpec};
 pub use report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
 pub use semantic::{Collision, RegionCheckStats, RegionRef, SemanticChecker, SemanticReport};
+pub use tree_check::{ProofBundle, TreeCheck, TreeChecker};

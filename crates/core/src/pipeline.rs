@@ -28,19 +28,20 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use llhsc_delta::{DeltaModule, DerivedProduct, ProductLine};
+use llhsc_delta::{DeltaModule, DerivedProduct, ProductLine, Provenance};
 use llhsc_dts::hash::{stable_hash_of, Fnv1a};
 use llhsc_dts::DeviceTree;
 use llhsc_fm::{FeatureModel, MultiModel};
 use llhsc_hypcfg::{PlatformConfig, VmConfig};
 use llhsc_obs::{SpanId, TraceCtx};
 use llhsc_sat::SolverStats;
-use llhsc_schema::{SchemaSet, SyntacticChecker};
-use llhsc_smt::{CheckOptions, SolverSession};
+use llhsc_schema::SchemaSet;
+use llhsc_smt::CheckOptions;
 
 use crate::cache::{AllocationNames, CacheClass, CacheEntry, CachedCheck, PipelineCache};
 use crate::report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
-use crate::semantic::{RegionCheckStats, SemanticChecker};
+use crate::semantic::{misaligned, RegionCheckStats, SemanticChecker};
+use crate::tree_check::TreeChecker;
 
 /// One VM to configure: a name (used for image symbols) and its feature
 /// selection (may be partial; the allocation checker completes it).
@@ -444,21 +445,39 @@ impl Pipeline {
                 t.add(id, "cache_hit", 0);
                 t.at(id)
             });
-            let (diags, stats, fresh, session) =
-                self.check_product(schemas, product, scoped.as_ref());
+            let checked = TreeChecker::new(schemas, &self.options).check(
+                &product.tree,
+                &|path| blame(product, path),
+                scoped.as_ref(),
+            );
+            // Page-alignment warnings sit between the syntactic and the
+            // semantic findings.
+            let [syntactic, semantic @ ..] = checked.findings;
+            let mut diags = syntactic;
+            diags.extend(misaligned(&checked.regions, PAGE_SIZE).map(|bad| {
+                Diagnostic::warning(
+                    Stage::Semantic,
+                    format!(
+                        "{bad} is not {PAGE_SIZE:#x}-aligned; stage-2 mapping \
+                         will round it to page boundaries"
+                    ),
+                )
+            }));
+            diags.extend(semantic.into_iter().flatten());
+            diags.extend(checked.input_error);
             store(
                 cache,
                 CacheClass::ProductCheck,
                 key,
                 CacheEntry::Check(CachedCheck {
                     diagnostics: diags.clone(),
-                    stats,
+                    stats: checked.stats,
                 }),
             );
             if let Some((t, id)) = product_span {
                 t.finish(id);
             }
-            (diags, stats, fresh, session)
+            (diags, checked.stats, checked.solver, checked.session)
         };
         let workers = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
@@ -528,14 +547,9 @@ impl Pipeline {
                                     checker.check_coverage_with_stats(&vm_memory, &platform_memory);
                                 solver_totals.merge(&cov_solver);
                                 for gap in gaps {
-                                    let blamed = product
-                                        .blame_subtree(&gap.region.path)
-                                        .into_iter()
-                                        .cloned()
-                                        .collect();
                                     out.push(
                                         Diagnostic::error(Stage::Semantic, gap.to_string())
-                                            .blame(blamed),
+                                            .blame(blame(product, &gap.region.path)),
                                     );
                                 }
                             }
@@ -622,114 +636,12 @@ impl Pipeline {
             session_stats: session_totals,
         })
     }
+}
 
-    /// Stage 3+4 for one derived tree: syntactic check, page-alignment
-    /// warnings and the semantic check, with every finding blamed on
-    /// the deltas that touched the offending nodes. Pure function of
-    /// its inputs, so trees can be checked concurrently and results can
-    /// be cached. The VM index is *not* attached here — the caller
-    /// stamps it, so cached results are VM-agnostic. The returned
-    /// [`SolverStats`] are the solver work this call performed; with a
-    /// trace context, a `"syntactic"` and a `"semantic"` span nest
-    /// under it, each parenting its checker's `"solve"` spans. Each call
-    /// builds its own solver sessions, so calls share no state.
-    fn check_product(
-        &self,
-        schemas: &SchemaSet,
-        product: &DerivedProduct,
-        trace: Option<&TraceCtx>,
-    ) -> (
-        Vec<Diagnostic>,
-        RegionCheckStats,
-        SolverStats,
-        llhsc_smt::SessionStats,
-    ) {
-        let mut diagnostics = Vec::new();
-        let mut stats = RegionCheckStats::default();
-        let mut fresh = SolverStats::default();
-        let mut session_work = llhsc_smt::SessionStats::default();
-        let span = StageSpan::begin(trace, "syntactic");
-        let session = SolverSession::with_options(&CheckOptions {
-            trace: None,
-            ..self.options.clone()
-        });
-        let session_base = session.stats();
-        let mut checker = SyntacticChecker::with_session(&product.tree, schemas, session);
-        if let Some(span) = &span {
-            checker.context_mut().set_trace(span.child());
-        }
-        let solver_base = checker.solver_stats();
-        let report = checker.check();
-        fresh.merge(&checker.solver_stats().delta_since(&solver_base));
-        session_work.merge(&checker.session_stats().delta_since(&session_base));
-        StageSpan::finish(span);
-        for v in report.violations {
-            diagnostics.push(
-                Diagnostic::error(Stage::Syntactic, v.to_string()).blame(
-                    product
-                        .blame_subtree(&v.path)
-                        .into_iter()
-                        .cloned()
-                        .collect(),
-                ),
-            );
-        }
-
-        let checker = SemanticChecker::new();
-        if let Ok(refs) = checker.collect_refs(&product.tree) {
-            for bad in checker.check_alignment(&refs, PAGE_SIZE) {
-                diagnostics.push(Diagnostic::warning(
-                    Stage::Semantic,
-                    format!(
-                        "{bad} is not {PAGE_SIZE:#x}-aligned; stage-2 mapping \
-                         will round it to page boundaries"
-                    ),
-                ));
-            }
-        }
-
-        let span = StageSpan::begin(trace, "semantic");
-        let mut checker = SemanticChecker::with_options(&self.stage_options(span.as_ref()));
-        let outcome = checker.check_tree_with_stats(&product.tree);
-        session_work.merge(&checker.session_stats());
-        StageSpan::finish(span);
-        match outcome {
-            Ok((report, tree_stats)) => {
-                fresh.merge(&tree_stats.solver);
-                stats = tree_stats;
-                for c in report.collisions {
-                    let mut blamed: Vec<llhsc_delta::Provenance> = product
-                        .blame_subtree(&c.a.path)
-                        .into_iter()
-                        .cloned()
-                        .collect();
-                    blamed.extend(product.blame_subtree(&c.b.path).into_iter().cloned());
-                    blamed.dedup();
-                    diagnostics
-                        .push(Diagnostic::error(Stage::Semantic, c.to_string()).blame(blamed));
-                }
-                for (line_no, users) in report.interrupt_conflicts {
-                    diagnostics.push(Diagnostic::error(
-                        Stage::Semantic,
-                        format!(
-                            "interrupt line {line_no} claimed by multiple devices: {}",
-                            users.join(", ")
-                        ),
-                    ));
-                }
-                for r in report.wrapping {
-                    diagnostics.push(Diagnostic::error(
-                        Stage::Semantic,
-                        format!("region wraps past the end of the address space: {r}"),
-                    ));
-                }
-            }
-            Err(e) => {
-                diagnostics.push(Diagnostic::error(Stage::Semantic, e.to_string()));
-            }
-        }
-        (diagnostics, stats, fresh, session_work)
-    }
+/// The blame of a finding about the node at `path` in `product`: the
+/// delta operations that touched it or one of its ancestors.
+pub(crate) fn blame(product: &DerivedProduct, path: &str) -> Vec<Provenance> {
+    product.blame_subtree(path).into_iter().cloned().collect()
 }
 
 /// The cache key of one stage-3+4 product check: the derived product
@@ -768,13 +680,13 @@ fn store(cache: Option<&dyn PipelineCache>, class: CacheClass, key: u64, entry: 
 /// One open stage span. Wrapped in `Option` so an untraced run pays a
 /// single branch per stage; [`StageSpan::finish`] takes the `Option` to
 /// keep the close-on-every-path call sites one line.
-struct StageSpan {
+pub(crate) struct StageSpan {
     ctx: TraceCtx,
     id: SpanId,
 }
 
 impl StageSpan {
-    fn begin(trace: Option<&TraceCtx>, name: &str) -> Option<StageSpan> {
+    pub(crate) fn begin(trace: Option<&TraceCtx>, name: &str) -> Option<StageSpan> {
         trace.map(|t| StageSpan {
             id: t.begin(name),
             ctx: t.clone(),
@@ -782,15 +694,15 @@ impl StageSpan {
     }
 
     /// A context whose spans nest under this stage.
-    fn child(&self) -> TraceCtx {
+    pub(crate) fn child(&self) -> TraceCtx {
         self.ctx.at(self.id)
     }
 
-    fn add(&self, key: &str, value: u64) {
+    pub(crate) fn add(&self, key: &str, value: u64) {
         self.ctx.add(self.id, key, value);
     }
 
-    fn finish(span: Option<StageSpan>) {
+    pub(crate) fn finish(span: Option<StageSpan>) {
         if let Some(s) = span {
             s.ctx.finish(s.id);
         }
@@ -801,6 +713,7 @@ impl StageSpan {
 mod tests {
     use super::*;
     use crate::running_example;
+    use llhsc_schema::SyntacticChecker;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -1114,6 +1027,21 @@ mod tests {
         let products: Vec<_> = spans.iter().filter(|s| s.name == "product_check").collect();
         assert_eq!(products.len(), 3);
         assert!(products.iter().all(|s| s.counter("cache_hit") == Some(0)));
+        // Each product check has one syntactic and one semantic span,
+        // and each carries its session's reuse counters.
+        for product in &products {
+            let stages: Vec<_> = spans
+                .iter()
+                .filter(|s| s.parent == Some(product.id))
+                .collect();
+            let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["syntactic", "semantic"]);
+            for s in &stages {
+                for key in ["asserts_encoded", "asserts_reused"] {
+                    assert!(s.counter(key).is_some(), "{} span lacks {key}", s.name);
+                }
+            }
+        }
         // Every solve span nests somewhere (under a stage or a
         // product_check's syntactic/semantic child), and the output's
         // solver totals equal the sum over the solve spans.

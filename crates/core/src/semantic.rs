@@ -136,7 +136,7 @@ impl SemanticReport {
 pub struct SemanticChecker {
     /// When set, every SMT solve the checker performs records a
     /// `"solve"` span under this context with its solver-counter delta.
-    trace: Option<TraceCtx>,
+    pub(crate) trace: Option<TraceCtx>,
     /// The persistent solving session shared by all checks.
     session: SolverSession,
 }
@@ -216,10 +216,20 @@ impl SemanticChecker {
         tree: &DeviceTree,
     ) -> Result<(SemanticReport, RegionCheckStats), DtsError> {
         let refs = self.collect_refs(tree)?;
-        let (collisions, stats) = self.check_regions_with_stats(&refs);
+        Ok(self.check_decoded(tree, &refs))
+    }
+
+    /// The semantic rules over `tree`, whose regions `refs` are decoded
+    /// already: collisions, shared interrupt lines and wrapping regions.
+    pub(crate) fn check_decoded(
+        &mut self,
+        tree: &DeviceTree,
+        refs: &[RegionRef],
+    ) -> (SemanticReport, RegionCheckStats) {
+        let (collisions, stats) = self.check_regions_with_stats(refs);
         let interrupt_conflicts = shared_interrupt_lines(tree);
         let wrapping = refs.iter().filter(|r| r.region.wraps()).cloned().collect();
-        Ok((
+        (
             SemanticReport {
                 collisions,
                 interrupt_conflicts,
@@ -227,7 +237,7 @@ impl SemanticChecker {
                 regions_checked: refs.len(),
             },
             stats,
-        ))
+        )
     }
 
     /// Decodes every `reg` in the tree into [`RegionRef`]s ready for
@@ -240,7 +250,7 @@ impl SemanticChecker {
     ///
     /// Propagates [`DtsError`] from [`collect_regions`].
     pub fn collect_refs(&self, tree: &DeviceTree) -> Result<Vec<RegionRef>, DtsError> {
-        region_refs(tree, |_| true)
+        tree_regions(tree).map(|(all, _)| all)
     }
 
     /// Verifies pairwise disjointness of explicit regions: formula (7),
@@ -557,17 +567,7 @@ impl SemanticChecker {
     /// devices are held to the same requirement — shared memory is
     /// page-mapped too.
     pub fn check_alignment(&self, refs: &[RegionRef], alignment: u128) -> Vec<RegionRef> {
-        assert!(
-            alignment.is_power_of_two(),
-            "alignment must be a power of two"
-        );
-        refs.iter()
-            .filter(|r| {
-                r.region.size != 0
-                    && (r.region.address % alignment != 0 || r.region.size % alignment != 0)
-            })
-            .cloned()
-            .collect()
+        misaligned(refs, alignment).cloned().collect()
     }
 
     /// Extracts the physical-memory regions of a tree as [`RegionRef`]s
@@ -578,20 +578,44 @@ impl SemanticChecker {
     ///
     /// Propagates [`DtsError`] from [`collect_regions`].
     pub fn memory_regions(tree: &DeviceTree) -> Result<Vec<RegionRef>, DtsError> {
-        region_refs(tree, |node| node.prop_str("device_type") == Some("memory"))
+        regions_where(tree, |_| false).map(|(_, memory)| memory)
     }
 }
 
-/// The non-empty regions of the devices `keep` admits, as
-/// [`RegionRef`]s at their CPU addresses. Devices whose `compatible` is
-/// `veth` or `shmem` are flagged virtual.
-fn region_refs(
+/// The regions of `refs` whose base or size is not a multiple of
+/// `alignment`, a power of two.
+pub(crate) fn misaligned(refs: &[RegionRef], alignment: u128) -> impl Iterator<Item = &RegionRef> {
+    assert!(
+        alignment.is_power_of_two(),
+        "alignment must be a power of two"
+    );
+    refs.iter().filter(move |r| {
+        r.region.size != 0 && (r.region.address % alignment != 0 || r.region.size % alignment != 0)
+    })
+}
+
+/// The tree's non-empty regions as [`RegionRef`]s at their CPU
+/// addresses, from one walk: all of them, and those of
+/// `device_type = "memory"` nodes.
+pub(crate) fn tree_regions(
+    tree: &DeviceTree,
+) -> Result<(Vec<RegionRef>, Vec<RegionRef>), DtsError> {
+    regions_where(tree, |_| true)
+}
+
+/// [`tree_regions`], listing first only the regions of the nodes `keep`
+/// admits. Devices whose `compatible` is `veth` or `shmem` are flagged
+/// virtual.
+fn regions_where(
     tree: &DeviceTree,
     keep: impl Fn(&Node) -> bool,
-) -> Result<Vec<RegionRef>, DtsError> {
-    let mut refs = Vec::new();
+) -> Result<(Vec<RegionRef>, Vec<RegionRef>), DtsError> {
+    let mut kept = Vec::new();
+    let mut memory = Vec::new();
     for d in collect_regions(tree)? {
-        if !keep(d.node) {
+        let is_memory = d.node.prop_str("device_type") == Some("memory");
+        let is_kept = keep(d.node);
+        if !is_memory && !is_kept {
             continue;
         }
         let virtual_device = d
@@ -600,16 +624,22 @@ fn region_refs(
             .is_some_and(|c| VIRTUAL_COMPATIBLES.contains(&c));
         for (index, r) in d.regions.iter().enumerate() {
             if r.size != 0 {
-                refs.push(RegionRef {
+                let r = RegionRef {
                     path: d.path.clone(),
                     index,
                     region: *r,
                     virtual_device,
-                });
+                };
+                if is_memory {
+                    memory.push(r.clone());
+                }
+                if is_kept {
+                    kept.push(r);
+                }
             }
         }
     }
-    Ok(refs)
+    Ok((kept, memory))
 }
 
 /// The *smallest* value of the bit-vector `x` satisfying the slices +

@@ -1,18 +1,14 @@
-//! Single-tree checking with the exact rendering of `llhsc check`.
-//!
-//! Both the local CLI command and the daemon's `check` op produce their
-//! output through [`check_tree`], so `llhsc client check` is
-//! byte-identical to `llhsc check` by construction — the bytes come
-//! from one function, only the transport differs.
+//! `llhsc check`'s rendering of [`llhsc::TreeChecker`], the tree check
+//! `build` and the family walk run too. The local CLI command and the
+//! daemon's `check` op both render through [`check_tree_with`], so
+//! `llhsc client check` is byte-identical to `llhsc check` by
+//! construction: only the transport differs.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use llhsc::{
-    CertStats, CheckOptions, Cnf, ProofStep, RegionCheckStats, SemanticChecker, SessionStats,
-    SolverSession, SolverStats,
-};
+use llhsc::{CertStats, CheckOptions, RegionCheckStats, SessionStats, SolverStats, TreeChecker};
 use llhsc_dts::DeviceTree;
-use llhsc_schema::{SchemaSet, SyntacticChecker};
+use llhsc_schema::SchemaSet;
 
 /// The rendered result of checking one tree: the exact bytes `llhsc
 /// check` writes to each stream, plus the verdict.
@@ -56,17 +52,7 @@ pub struct CheckOutcome {
     pub cert: Option<CertStats>,
 }
 
-/// One stage's exported refutation material: the accumulated formula
-/// and the DRAT proof the stage's solver emitted over it.
-#[derive(Debug, Clone)]
-pub struct ProofBundle {
-    /// `"syntactic"` or `"semantic"`.
-    pub stage: &'static str,
-    /// Every problem clause the stage's solver was given.
-    pub cnf: Cnf,
-    /// The DRAT derivation over `cnf`.
-    pub proof: Vec<ProofStep>,
-}
+pub use llhsc::ProofBundle;
 
 /// Runs the syntactic + semantic checkers over one tree against the
 /// standard schema set, rendering findings exactly as `llhsc check`
@@ -89,135 +75,57 @@ pub fn check_tree(tree: &DeviceTree) -> CheckOutcome {
 ///   --proof`); otherwise the bundle list is empty.
 pub fn check_tree_with(tree: &DeviceTree, opts: &CheckOptions) -> (CheckOutcome, Vec<ProofBundle>) {
     use std::fmt::Write as _;
-    let mut stdout = String::new();
-    let mut stderr = String::new();
-    let mut failed = false;
-    let mut input_error = false;
-
-    let root = opts.trace.as_ref().map(|t| (t.clone(), t.begin("check")));
-    let scoped = root.as_ref().map(|(t, id)| t.at(*id));
-    let trace = scoped.as_ref();
-    let mut solver = SolverStats::default();
-    let mut session = SessionStats::default();
-
-    let syn_span = trace.map(|t| (t, t.begin("syntactic")));
-    let syn_session = SolverSession::with_options(&CheckOptions {
-        trace: None,
-        ..opts.clone()
-    });
-    let mut syn_checker = SyntacticChecker::with_session(tree, &SchemaSet::standard(), syn_session);
-    if let Some((t, id)) = &syn_span {
-        syn_checker.context_mut().set_trace(t.at(*id));
-    }
-    let solver_base = syn_checker.solver_stats();
-    let syntactic = syn_checker.check();
-    solver.merge(&syn_checker.solver_stats().delta_since(&solver_base));
-    session.merge(&syn_checker.session_stats());
-    if let Some((t, id)) = syn_span {
-        let stats = syn_checker.session_stats();
-        t.add(id, "asserts_encoded", stats.asserts_encoded);
-        t.add(id, "asserts_reused", stats.asserts_reused);
-        t.finish(id);
-    }
-    for v in &syntactic.violations {
-        let _ = writeln!(stderr, "error[syntactic]: {v}");
-        failed = true;
-    }
-
-    let started = Instant::now();
-    let mut stats = RegionCheckStats::default();
-    let mut elapsed = Duration::ZERO;
-    let sem_span = trace.map(|t| (t, t.begin("semantic")));
-    let mut sem_checker = SemanticChecker::with_options(&CheckOptions {
-        trace: sem_span.as_ref().map(|(t, id)| t.at(*id)),
-        ..opts.clone()
-    });
-    let outcome = sem_checker.check_tree_with_stats(tree);
-    session.merge(&sem_checker.session_stats());
-    if let Some((t, id)) = sem_span {
-        let stats = sem_checker.session_stats();
-        t.add(id, "asserts_encoded", stats.asserts_encoded);
-        t.add(id, "asserts_reused", stats.asserts_reused);
-        t.finish(id);
-    }
-    match outcome {
-        Ok((report, check_stats)) => {
-            elapsed = started.elapsed();
-            solver.merge(&check_stats.solver);
-            stats = check_stats;
-            for c in &report.collisions {
-                let _ = writeln!(stderr, "error[semantic]: {c}");
-                failed = true;
-            }
-            for (line, users) in &report.interrupt_conflicts {
-                let _ = writeln!(
-                    stderr,
-                    "error[semantic]: interrupt line {line} claimed by {}",
-                    users.join(", ")
-                );
-                failed = true;
-            }
-            for r in &report.wrapping {
-                let _ = writeln!(
-                    stderr,
-                    "error[semantic]: region wraps past the end of the address space: {r}"
-                );
-                failed = true;
-            }
-            let _ = writeln!(
-                stdout,
-                "checked {} nodes, {} regions, {} schema rules: {}",
-                tree.size(),
-                report.regions_checked,
-                syntactic.rules_checked,
-                if failed { "INVALID" } else { "ok" }
-            );
-        }
-        Err(e) => {
-            // The tree itself is uninterpretable (bad cell counts, bad
-            // reg shapes): a tool-failure under the exit-code contract,
-            // not a checker finding.
-            let _ = writeln!(stderr, "error[semantic]: {e}");
-            failed = true;
-            input_error = true;
-        }
-    }
+    let root = opts.trace.as_ref().map(|t| (t, t.begin("check")));
+    let scoped = root.map(|(t, id)| t.at(id));
+    let schemas = SchemaSet::standard();
+    let mut checker = TreeChecker::new(&schemas, opts);
+    let checked = checker.check(tree, &|_| Vec::new(), scoped.as_ref());
     if let Some((t, id)) = root {
         t.finish(id);
     }
-    let mut cert = None;
-    let mut bundles = Vec::new();
-    if opts.certify {
-        let mut c = syn_checker.cert_stats();
-        c.merge(&sem_checker.cert_stats());
-        cert = Some(c);
-        if let Some((cnf, proof)) = syn_checker.export_proof() {
-            bundles.push(ProofBundle {
-                stage: "syntactic",
-                cnf,
-                proof,
-            });
-        }
-        if let Some((cnf, proof)) = sem_checker.export_proof() {
-            bundles.push(ProofBundle {
-                stage: "semantic",
-                cnf,
-                proof,
-            });
-        }
+
+    let mut stderr = String::new();
+    for d in checked
+        .findings
+        .iter()
+        .flatten()
+        .chain(&checked.input_error)
+    {
+        let _ = writeln!(stderr, "{d}");
     }
+    let clean = stderr.is_empty();
+    // An uninterpretable tree (bad cell counts, bad reg shapes) is a
+    // tool failure under the exit-code contract, not a checker finding,
+    // and gets no summary.
+    let input_error = checked.input_error.is_some();
+    let stdout = if input_error {
+        String::new()
+    } else {
+        format!(
+            "checked {} nodes, {} regions, {} schema rules: {}\n",
+            tree.size(),
+            checked.regions.len(),
+            checked.rules_checked,
+            if clean { "ok" } else { "INVALID" }
+        )
+    };
+    let (cert, bundles) = if opts.certify {
+        (Some(checker.cert_stats()), checker.export_proofs())
+    } else {
+        (None, Vec::new())
+    };
     (
         CheckOutcome {
             report: CheckReport {
                 stdout,
                 stderr,
-                clean: !failed,
+                clean,
                 input_error,
             },
-            stats,
-            solver,
-            session,
-            elapsed,
+            stats: checked.stats,
+            solver: checked.solver,
+            session: checked.session,
+            elapsed: checked.elapsed,
             cert,
         },
         bundles,
@@ -328,6 +236,60 @@ mod tests {
                 .any(|b| check_drat(&b.cnf, &b.proof, CheckMode::Last).is_ok()),
             "at least one stage carries a real refutation"
         );
+    }
+
+    /// A one-VM project whose board holds an SRAM based at 0x50000800,
+    /// half a page off.
+    fn misaligned_project() -> llhsc::PipelineInput {
+        llhsc::PipelineInput {
+            core: llhsc_dts::parse(
+                "/ {\n\
+                 \x20   #address-cells = <1>; #size-cells = <1>;\n\
+                 \x20   memory@40000000 { device_type = \"memory\"; reg = <0x40000000 0x10000000>; };\n\
+                 \x20   sram@50000800 { compatible = \"mmio-sram\"; reg = <0x50000800 0x800>; };\n\
+                 \x20   cpus { #address-cells = <1>; #size-cells = <0>;\n\
+                 \x20       cpu@0 { device_type = \"cpu\"; compatible = \"arm,cortex-a53\"; reg = <0x0>; }; };\n\
+                 };",
+            )
+            .unwrap(),
+            deltas: Vec::new(),
+            model: llhsc_fm::parse_model("feature Board { memory cpus xor exclusive { cpu@0? } }")
+                .unwrap(),
+            schemas: SchemaSet::standard(),
+            vms: vec![llhsc::VmSpec {
+                name: "vm1".into(),
+                features: vec!["memory".into(), "cpu@0".into()],
+            }],
+        }
+    }
+
+    #[test]
+    fn misaligned_region_warns_in_build_but_not_in_check() {
+        let out = llhsc::Pipeline::new()
+            .run(&misaligned_project())
+            .expect("a warning does not fail the build");
+        // One warning per product (the VM and the platform), naming the
+        // region.
+        let warnings: Vec<String> = out
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == llhsc::Severity::Warning)
+            .map(ToString::to_string)
+            .collect();
+        let message = "/sram@50000800#reg[0] = [0x50000800, 0x50001000) is not \
+                       0x1000-aligned; stage-2 mapping will round it to page boundaries";
+        assert_eq!(
+            warnings,
+            [
+                format!("warning[semantic][vm1]: {message}"),
+                format!("warning[semantic]: {message}")
+            ]
+        );
+        // `check` of the derived tree prints error lines only, so it
+        // prints nothing.
+        let checked = check_tree(&out.vm_trees[0]);
+        assert!(checked.report.clean);
+        assert_eq!(checked.report.stderr, "");
     }
 
     #[test]

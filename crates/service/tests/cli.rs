@@ -1,21 +1,17 @@
 //! End-to-end tests of the `llhsc` command-line tool.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use common::Scratch;
 
 fn llhsc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_llhsc"))
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-fn write_temp(name: &str, contents: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("llhsc-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write temp file");
-    path
 }
 
 const VALID: &str = r#"
@@ -53,7 +49,8 @@ fn no_args_prints_usage() {
 
 #[test]
 fn check_accepts_valid_file() {
-    let path = write_temp("valid.dts", VALID);
+    let scratch = Scratch::new();
+    let path = scratch.write("valid.dts", VALID);
     let out = llhsc(&["check", path.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -65,7 +62,8 @@ fn check_accepts_valid_file() {
 
 #[test]
 fn check_rejects_clash_with_nonzero_exit() {
-    let path = write_temp("clash.dts", CLASHING);
+    let scratch = Scratch::new();
+    let path = scratch.write("clash.dts", CLASHING);
     let out = llhsc(&["check", path.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -75,8 +73,9 @@ fn check_rejects_clash_with_nonzero_exit() {
 
 #[test]
 fn check_resolves_includes_from_the_file_directory() {
-    let main = write_temp("main.dts", "/dts-v1/;\n/include/ \"part.dtsi\"\n/ { };\n");
-    write_temp(
+    let scratch = Scratch::new();
+    let main = scratch.write("main.dts", "/dts-v1/;\n/include/ \"part.dtsi\"\n/ { };\n");
+    scratch.write(
         "part.dtsi",
         "/ { #address-cells = <1>; #size-cells = <1>; \
          memory@80000000 { device_type = \"memory\"; reg = <0x80000000 0x1000>; }; };",
@@ -102,14 +101,15 @@ const OCTAL_SRAM: &str = "/dts-v1/;
 
 #[test]
 fn check_reads_leading_zero_literals_as_octal() {
-    let path = write_temp("octal.dts", OCTAL_SRAM);
+    let scratch = Scratch::new();
+    let path = scratch.write("octal.dts", OCTAL_SRAM);
     let out = llhsc(&["check", path.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let blob = write_temp("octal.dtb", "");
+    let blob = scratch.write("octal.dtb", "");
     let out = llhsc(&["dtb", path.to_str().unwrap(), blob.to_str().unwrap()]);
     assert!(out.status.success());
     let out = llhsc(&["dts", blob.to_str().unwrap()]);
@@ -119,8 +119,9 @@ fn check_reads_leading_zero_literals_as_octal() {
 
 #[test]
 fn dtb_then_dts_roundtrip() {
-    let src = write_temp("rt.dts", VALID);
-    let blob = write_temp("rt.dtb", ""); // will be overwritten
+    let scratch = Scratch::new();
+    let src = scratch.write("rt.dts", VALID);
+    let blob = scratch.write("rt.dtb", ""); // will be overwritten
     let out = llhsc(&["dtb", src.to_str().unwrap(), blob.to_str().unwrap()]);
     assert!(out.status.success());
     let out = llhsc(&["dts", blob.to_str().unwrap()]);
@@ -184,7 +185,8 @@ constraints {
 
 #[test]
 fn model_subcommand_analyses_fm_file() {
-    let path = write_temp("model.fm", MODEL_FM);
+    let scratch = Scratch::new();
+    let path = scratch.write("model.fm", MODEL_FM);
     let out = llhsc(&["model", path.to_str().unwrap()]);
     assert!(
         out.status.success(),
@@ -199,7 +201,8 @@ fn model_subcommand_analyses_fm_file() {
 
 #[test]
 fn model_subcommand_reports_void() {
-    let path = write_temp("void.fm", "feature R { a b }\nconstraints { a excludes b }");
+    let scratch = Scratch::new();
+    let path = scratch.write("void.fm", "feature R { a b }\nconstraints { a excludes b }");
     let out = llhsc(&["model", path.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("VOID"));
@@ -207,8 +210,7 @@ fn model_subcommand_reports_void() {
 
 #[test]
 fn build_subcommand_runs_a_project() {
-    let dir = std::env::temp_dir().join(format!("llhsc-proj-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("project dir");
+    let dir = Scratch::new();
     std::fs::write(dir.join("core.dts"), llhsc::running_example::CORE_DTS).unwrap();
     std::fs::write(dir.join("cpus.dtsi"), llhsc::running_example::CPUS_DTSI).unwrap();
     std::fs::write(dir.join("uarts.dtsi"), llhsc::running_example::UARTS_DTSI).unwrap();
@@ -252,8 +254,7 @@ fn build_subcommand_runs_a_project() {
 
 #[test]
 fn build_rejects_invalid_project() {
-    let dir = std::env::temp_dir().join(format!("llhsc-proj-bad-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("project dir");
+    let dir = Scratch::new();
     std::fs::write(dir.join("core.dts"), llhsc::running_example::CORE_DTS).unwrap();
     std::fs::write(dir.join("cpus.dtsi"), llhsc::running_example::CPUS_DTSI).unwrap();
     std::fs::write(dir.join("uarts.dtsi"), llhsc::running_example::UARTS_DTSI).unwrap();
@@ -360,9 +361,10 @@ const I2C_BEHIND_A_WINDOW: &str = r#"
 
 #[test]
 fn check_compares_cpu_addresses() {
+    let scratch = Scratch::new();
     let fp = llhsc(&[
         "check",
-        write_temp("fp.dts", BRIDGED_UARTS).to_str().unwrap(),
+        scratch.write("fp.dts", BRIDGED_UARTS).to_str().unwrap(),
     ]);
     assert_eq!(
         fp.status.code(),
@@ -373,7 +375,7 @@ fn check_compares_cpu_addresses() {
 
     let fn_ = llhsc(&[
         "check",
-        write_temp("fn.dts", UART_ON_MEMORY).to_str().unwrap(),
+        scratch.write("fn.dts", UART_ON_MEMORY).to_str().unwrap(),
     ]);
     assert_eq!(fn_.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&fn_.stderr);
@@ -385,7 +387,8 @@ fn check_compares_cpu_addresses() {
 
 #[test]
 fn check_rejects_a_region_outside_its_windows() {
-    let out = llhsc(&["check", write_temp("ghost.dts", GHOST).to_str().unwrap()]);
+    let scratch = Scratch::new();
+    let out = llhsc(&["check", scratch.write("ghost.dts", GHOST).to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -398,9 +401,13 @@ fn check_rejects_a_region_outside_its_windows() {
 
 #[test]
 fn check_accepts_bus_numbers_behind_a_window() {
+    let scratch = Scratch::new();
     let out = llhsc(&[
         "check",
-        write_temp("i2c.dts", I2C_BEHIND_A_WINDOW).to_str().unwrap(),
+        scratch
+            .write("i2c.dts", I2C_BEHIND_A_WINDOW)
+            .to_str()
+            .unwrap(),
     ]);
     assert_eq!(
         out.status.code(),
@@ -412,8 +419,8 @@ fn check_accepts_bus_numbers_behind_a_window() {
 
 /// A one-VM project over `board`, which gains a `cpus` node: no deltas,
 /// and `vm1` selects the memory and the only CPU.
-fn one_vm_project(name: &str, board: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("llhsc-proj-{name}-{}", std::process::id()));
+fn one_vm_project(scratch: &Scratch, name: &str, board: &str) -> PathBuf {
+    let dir = scratch.join(name);
     std::fs::create_dir_all(&dir).expect("project dir");
     let root_end = board.rfind("};").expect("board closes its root");
     let core = format!(
@@ -436,9 +443,10 @@ fn one_vm_project(name: &str, board: &str) -> PathBuf {
 
 #[test]
 fn build_compares_and_emits_cpu_addresses() {
-    let fp = one_vm_project("fp", BRIDGED_UARTS);
-    let fn_ = one_vm_project("fn", UART_ON_MEMORY);
-    let i2c = one_vm_project("i2c", I2C_BEHIND_A_WINDOW);
+    let scratch = Scratch::new();
+    let fp = one_vm_project(&scratch, "fp", BRIDGED_UARTS);
+    let fn_ = one_vm_project(&scratch, "fn", UART_ON_MEMORY);
+    let i2c = one_vm_project(&scratch, "i2c", I2C_BEHIND_A_WINDOW);
     for (dir, code) in [(&fp, 0), (&fn_, 1), (&i2c, 0)] {
         for mode in [&[][..], &["--family"][..]] {
             let mut args = vec!["build"];
@@ -465,4 +473,71 @@ fn build_compares_and_emits_cpu_addresses() {
     );
     let vm = std::fs::read_to_string(i2c.join("out/vm1.c")).unwrap();
     assert!(vm.contains(".pa = 0x3f201000"), "{vm}");
+}
+
+/// Two UARTs that overlap and share interrupt line 33.
+const SHARED_IRQ_AND_OVERLAP: &str = r#"
+/dts-v1/;
+/ {
+    #address-cells = <1>;
+    #size-cells = <1>;
+    memory@40000000 { device_type = "memory"; reg = <0x40000000 0x10000000>; };
+    uart@20000000 { compatible = "ns16550a"; reg = <0x20000000 0x2000>; interrupts = <33>; };
+    uart@20001000 { compatible = "ns16550a"; reg = <0x20001000 0x1000>; interrupts = <33>; };
+};
+"#;
+
+/// The `error[…]` lines of `text`, as `check` words them: without the
+/// indent, the `[vm1]` slot and the ` (introduced by …)` blame.
+fn error_lines(text: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(text)
+        .lines()
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("error["))
+        .map(|l| {
+            let l = l.split(" (introduced by").next().unwrap_or(l);
+            l.replacen("[vm1]", "", 1)
+        })
+        .collect()
+}
+
+#[test]
+fn build_words_findings_as_check_does() {
+    let scratch = Scratch::new();
+    let check = llhsc(&[
+        "check",
+        scratch
+            .write("irq.dts", SHARED_IRQ_AND_OVERLAP)
+            .to_str()
+            .unwrap(),
+    ]);
+    assert_eq!(check.status.code(), Some(1));
+    let checked = error_lines(&check.stderr);
+    assert_eq!(
+        checked.len(),
+        2,
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    assert!(checked[0].starts_with("error[semantic]: address collision at 0x20001000"));
+    assert_eq!(
+        checked[1],
+        "error[semantic]: interrupt line 33 claimed by /uart@20000000, /uart@20001000"
+    );
+
+    let dir = one_vm_project(&scratch, "irq", SHARED_IRQ_AND_OVERLAP);
+    let build = llhsc(&["build", dir.to_str().unwrap()]);
+    let family = llhsc(&["build", "--family", dir.to_str().unwrap()]);
+    for (out, text) in [(&build, &build.stderr), (&family, &family.stdout)] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let built = error_lines(text);
+        // Both findings, for the VM (and the platform in `build`).
+        assert!(built.len() >= 2, "{}", String::from_utf8_lossy(text));
+        for line in &checked {
+            assert!(built.contains(line), "{line:?} missing from {built:?}");
+        }
+        for line in &built {
+            assert!(checked.contains(line), "{line:?} is not a `check` line");
+        }
+    }
 }

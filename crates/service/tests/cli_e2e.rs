@@ -3,10 +3,13 @@
 //! byte-identical to a local `llhsc check` — stdout, stderr and exit
 //! code — on clean, failing and unparseable inputs.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 
+use common::Scratch;
 use llhsc::{quadcore, running_example, Pipeline};
 
 fn bin() -> &'static str {
@@ -79,25 +82,13 @@ impl Drop for Daemon {
 }
 
 /// Writes the test inputs into a fresh scratch directory.
-fn fixtures() -> (PathBuf, Vec<(PathBuf, i32)>) {
-    let dir = std::env::temp_dir().join(format!(
-        "llhsc-e2e-{}-{}",
-        std::process::id(),
-        std::thread::current()
-            .name()
-            .unwrap_or("t")
-            .replace("::", "-")
-    ));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+fn fixtures() -> (Scratch, Vec<(PathBuf, i32)>) {
+    let dir = Scratch::new();
 
     let running = Pipeline::new()
         .run(&running_example::pipeline_input())
         .expect("running example builds");
-    let write = |name: &str, text: &str| {
-        let path = dir.join(name);
-        std::fs::write(&path, text).expect("fixture write");
-        path
-    };
+    let write = |name: &str, text: &str| dir.write(name, text);
     let cases = vec![
         (write("running-platform.dts", &running.platform_dts), 0),
         (write("quadcore.dts", &quadcore::core_dts_text()), 0),
@@ -128,7 +119,7 @@ fn fixtures() -> (PathBuf, Vec<(PathBuf, i32)>) {
 
 #[test]
 fn client_check_is_byte_identical_to_local_check() {
-    let (dir, cases) = fixtures();
+    let (_dir, cases) = fixtures();
     let daemon = Daemon::start();
 
     for (path, expected_code) in &cases {
@@ -166,7 +157,6 @@ fn client_check_is_byte_identical_to_local_check() {
     }
 
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `check --report-json` on the quad-core fixture is byte-stable
@@ -176,8 +166,7 @@ fn client_check_is_byte_identical_to_local_check() {
 #[test]
 fn report_json_is_byte_stable_and_matches_golden() {
     let (dir, _) = fixtures();
-    let quadcore = dir.join("quadcore.dts");
-    std::fs::write(&quadcore, quadcore::core_dts_text()).expect("fixture write");
+    let quadcore = dir.write("quadcore.dts", &quadcore::core_dts_text());
 
     let run = |tag: &str| -> (String, String) {
         let trace = dir.join(format!("trace-{tag}.json"));
@@ -205,12 +194,19 @@ fn report_json_is_byte_stable_and_matches_golden() {
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quadcore_report.json");
     let golden = std::fs::read_to_string(&golden_path).expect("golden file");
+    // A drifted report is kept outside the scratch directory, which the
+    // test removes, so the golden file can be replaced with it.
+    let fresh = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("quadcore_report.json");
+    if report_a != golden {
+        std::fs::write(&fresh, &report_a).expect("fresh report write");
+    }
     assert_eq!(
-        report_a, golden,
-        "report drifted from tests/golden/quadcore_report.json — \
-         if the change is intentional, regenerate the golden file with\n  \
-         LLHSC_TRACE_ZERO_TIME=1 llhsc check --trace /dev/null \
-         --report-json crates/service/tests/golden/quadcore_report.json <quadcore.dts>"
+        report_a,
+        golden,
+        "report drifted from the golden file; if the change is intentional, \
+         replace it with\n  cp {} {}",
+        fresh.display(),
+        golden_path.display()
     );
 
     // The embedded span tree accounts for every solver call: summing
@@ -243,8 +239,6 @@ fn report_json_is_byte_stable_and_matches_golden() {
         assert_eq!(sum(key), total(key), "span sum mismatch for {key}");
     }
     assert!(total("solves") > 0, "the quad-core check must solve");
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `client check --report-json` writes the same bytes as a local
@@ -282,7 +276,6 @@ fn client_report_json_matches_local() {
     }
 
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The daemon's `metrics` op serves Prometheus text through
@@ -318,7 +311,6 @@ fn client_metrics_round_trip() {
     );
 
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -370,7 +362,7 @@ fn client_ping_and_stats_round_trip() {
 /// the rate column pins to `-` when the clock reads zero.
 #[test]
 fn check_progress_is_deterministic_on_the_zero_clock() {
-    let (dir, cases) = fixtures();
+    let (_dir, cases) = fixtures();
     let (failing, expected_code) = &cases[2];
     assert_eq!(*expected_code, 1, "fixture order changed");
 
@@ -404,8 +396,6 @@ fn check_progress_is_deterministic_on_the_zero_clock() {
         .expect("plain check runs");
     assert_eq!(plain.status.code(), a.status.code());
     assert_eq!(plain.stdout, a.stdout, "--progress changed the verdict");
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The daemon's flight recorder is reachable through `llhsc client
@@ -449,7 +439,6 @@ fn client_flightdump_round_trip() {
     );
 
     daemon.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
