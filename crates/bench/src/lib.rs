@@ -2,13 +2,10 @@
 //! repository benchmark under `perf/` draws its workloads from).
 //!
 //! The paper's evaluation (§V) is qualitative — a running example — so
-//! the suites measure the *scaling claims made in prose*: feature-model
-//! analysis "is easy" (Mendonca et al.), a shared solver session
-//! amortizes encoding across VMs, and lifted family checking stays flat
-//! while the product count grows. Every generator here is deterministic
-//! so runs are comparable.
-
-use llhsc_fm::{FeatureModel, GroupKind};
+//! the suites measure the *scaling claims made in prose*: a shared
+//! solver session amortizes encoding across VMs, and lifted family
+//! checking stays flat while the product count grows. Every generator
+//! here is deterministic so runs are comparable.
 
 /// A tiny deterministic PRNG (SplitMix64), so workloads do not depend
 /// on `rand` internals staying stable across versions.
@@ -41,30 +38,6 @@ impl SplitMix64 {
     pub fn bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-}
-
-/// A feature model shaped like the CustomSBC one, scaled: `groups` XOR
-/// groups of `width` alternatives each under the root, plus one
-/// `requires` cross-constraint per group.
-pub fn scaled_feature_model(groups: usize, width: usize) -> FeatureModel {
-    let mut fm = FeatureModel::new("ScaledSBC");
-    let root = fm.root();
-    let mut first_children = Vec::new();
-    for g in 0..groups {
-        let group = fm.add_mandatory(root, &format!("group{g}"));
-        fm.set_group(group, GroupKind::Xor);
-        fm.set_cross_vm_exclusive(group, g == 0);
-        let mut children = Vec::new();
-        for w in 0..width {
-            children.push(fm.add_optional(group, &format!("g{g}opt{w}")));
-        }
-        first_children.push(children[0]);
-    }
-    // Chain: picking group g's first option requires group g+1's first.
-    for pair in first_children.windows(2) {
-        fm.requires(pair[0], pair[1]);
-    }
-    fm
 }
 
 /// A synthetic board DTS with `devices` device nodes, each with a
@@ -184,16 +157,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn scaled_model_products() {
-        // g groups of w alternatives with a requires-chain on first
-        // options: the model is satisfiable and has products.
-        let fm = scaled_feature_model(3, 3);
-        let mut an = llhsc_fm::Analyzer::new(&fm);
-        assert!(!an.is_void());
-        assert!(an.count_products() > 0);
     }
 
     #[test]

@@ -19,9 +19,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use llhsc::family::{CheckMode, FamilyChecker, FamilyReport};
-use llhsc::{CertStats, CheckOptions, Pipeline, SemanticChecker, SolverConfig, SolverStats};
+use llhsc::{CertStats, CheckOptions, Pipeline, SemanticChecker, SolverStats};
 use llhsc_bench::{family_board, synthetic_board, synthetic_vm_board};
-use llhsc_fm::MultiModel;
 use llhsc_schema::{SchemaSet, SyntacticChecker};
 use llhsc_service::cache::ServiceCache;
 use llhsc_service::{check_tree, solver_json, Json};
@@ -584,7 +583,6 @@ fn usage() -> ExitCode {
            llhsc-bench count [--runs N] [--json [FILE]]\n\
            llhsc-bench compare [--runs N] [--tolerance-pct P] [--skip-wall]\n\
                                <baseline.json>..\n\
-           llhsc-bench ablate\n\
          \n\
          --runs N      timed iterations per scenario (default {DEFAULT_RUNS})\n\
          --sizes LIST  scale-suite board sizes (default 64,128,256,512)\n\
@@ -603,11 +601,7 @@ fn usage() -> ExitCode {
                        results: every counter must match exactly, wall\n\
                        medians must stay within --tolerance-pct (default\n\
                        {COMPARE_TOLERANCE_PCT}%, plus a {COMPARE_WALL_FLOOR_US} µs noise floor);\n\
-                       --skip-wall gates on counters only. Exit 1 on drift.\n\
-         ablate        check the quad-core fixture and a pigeonhole\n\
-                       allocation under all 16 combinations of the solver's\n\
-                       in-processing flags and assert the verdicts never\n\
-                       change"
+                       --skip-wall gates on counters only. Exit 1 on drift."
     );
     ExitCode::FAILURE
 }
@@ -1016,151 +1010,6 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ---- in-processing ablation suite ----------------------------------
-
-/// One ablation combo: which in-processing features were on, the
-/// verdicts over the fixture trees, and the solver work counters that
-/// show what each pass did.
-struct AblationRow {
-    combo: u32,
-    verdicts: Vec<(usize, usize)>,
-    /// Whether the pigeonhole allocation found a placement.
-    allocates: bool,
-    solver: SolverStats,
-}
-
-/// The trees the ablation checks: the quad-core fixture's four VM
-/// trees plus its platform tree — a mix of clean and solver-heavy
-/// inputs whose verdicts are known.
-fn ablation_trees() -> Vec<llhsc_dts::DeviceTree> {
-    let out = Pipeline::new()
-        .run(&llhsc::quadcore::pipeline_input())
-        .expect("quadcore fixture builds");
-    let mut trees = out.vm_trees;
-    trees.push(out.platform_tree);
-    trees
-}
-
-/// Exclusive CPUs of the ablation's §IV-A allocation, which places one
-/// VM more than that: the pigeonhole principle. `MultiModel::check`
-/// leaves the VMs' symmetry unbroken, so only CDCL search refutes it,
-/// and it is the input on which the in-processing passes work.
-const ABLATION_CPUS: usize = 7;
-
-/// The solver configuration of one 4-bit combo (chrono backtracking,
-/// vivification, subsumption, stabilizing restarts).
-fn ablation_config(combo: u32) -> SolverConfig {
-    SolverConfig {
-        chrono_backtrack: combo & 1 != 0,
-        vivify: combo & 2 != 0,
-        subsume: combo & 4 != 0,
-        stable_restarts: combo & 8 != 0,
-        ..SolverConfig::default()
-    }
-}
-
-fn ablation_run(trees: &[llhsc_dts::DeviceTree], combo: u32) -> AblationRow {
-    let schemas = SchemaSet::standard();
-    let options = CheckOptions {
-        solver: ablation_config(combo),
-        ..CheckOptions::default()
-    };
-    let mut verdicts = Vec::new();
-    let mut solver = SolverStats::default();
-    for tree in trees {
-        let mut syn =
-            SyntacticChecker::with_session(tree, &schemas, SolverSession::with_options(&options));
-        let report = syn.check();
-        solver.merge(&syn.solver_stats());
-        let mut sem = SemanticChecker::with_options(&options);
-        let (sem_report, stats) = sem
-            .check_tree_with_stats(tree)
-            .expect("fixture is interpretable");
-        solver.merge(&stats.solver);
-        verdicts.push((report.violations.len(), sem_report.collisions.len()));
-    }
-    let model = llhsc_bench::scaled_feature_model(1, ABLATION_CPUS);
-    let mut multi = MultiModel::with_options(&model, ABLATION_CPUS + 1, &options);
-    let allocates = multi.check();
-    solver.merge(&multi.solver_stats());
-    AblationRow {
-        combo,
-        verdicts,
-        allocates,
-        solver,
-    }
-}
-
-/// The `ablate` subcommand: every combination of the in-processing
-/// flags over the quad-core fixture and the pigeonhole allocation,
-/// asserting verdict equality — the passes may change the work, never
-/// the answer — and that every pass except chronological backtracking
-/// fires when all are on.
-fn cmd_ablate(args: Vec<String>) -> ExitCode {
-    if !args.is_empty() {
-        return usage();
-    }
-    let trees = ablation_trees();
-    let rows: Vec<AblationRow> = (0u32..16).map(|c| ablation_run(&trees, c)).collect();
-    println!(
-        "{:<6} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} {:>11}  verdicts",
-        "combo",
-        "solves",
-        "conflicts",
-        "restarts",
-        "chrono",
-        "vivified",
-        "subsumed",
-        "strengthened"
-    );
-    for row in &rows {
-        let flags = format!(
-            "{}{}{}{}",
-            if row.combo & 1 != 0 { "c" } else { "-" },
-            if row.combo & 2 != 0 { "v" } else { "-" },
-            if row.combo & 4 != 0 { "s" } else { "-" },
-            if row.combo & 8 != 0 { "r" } else { "-" },
-        );
-        let findings: usize = row.verdicts.iter().map(|(a, b)| a + b).sum();
-        println!(
-            "{:<6} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} {:>11}  {} finding(s), {}",
-            flags,
-            row.solver.solves,
-            row.solver.conflicts,
-            row.solver.restarts,
-            row.solver.chrono_backtracks,
-            row.solver.vivified,
-            row.solver.subsumed,
-            row.solver.strengthened,
-            findings,
-            if row.allocates {
-                "allocated"
-            } else {
-                "allocation refuted"
-            },
-        );
-        assert_eq!(
-            (&row.verdicts, row.allocates),
-            (&rows[0].verdicts, rows[0].allocates),
-            "in-processing combo {:#06b} changed a verdict",
-            row.combo
-        );
-    }
-    assert!(
-        !rows[0].allocates,
-        "{} VMs cannot fit {ABLATION_CPUS} exclusive CPUs",
-        ABLATION_CPUS + 1
-    );
-    let all_on = &rows[15].solver;
-    assert!(all_on.vivified > 0, "vivification never fired");
-    assert!(all_on.subsumed > 0, "subsumption never fired");
-    assert!(all_on.restarts > 0, "the search never restarted");
-    let chrono: u64 = rows.iter().map(|r| r.solver.chrono_backtracks).sum();
-    println!("chronological backtracks across all combinations: {chrono}");
-    println!("ok: verdicts identical across all 16 in-processing combinations");
-    ExitCode::SUCCESS
-}
-
 // ---- configuration-space analytics suite ---------------------------
 
 /// A synthetic feature model with an or-group of `n` optional
@@ -1419,9 +1268,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("compare") {
         return cmd_compare(args[1..].to_vec());
-    }
-    if args.first().map(String::as_str) == Some("ablate") {
-        return cmd_ablate(args[1..].to_vec());
     }
     let mut runs = DEFAULT_RUNS;
     let mut json_path: Option<String> = None;

@@ -87,12 +87,12 @@ impl<'a> TreeChecker<'a> {
         self
     }
 
-    /// Checks one tree. A finding about a node, or about a region or a
-    /// pair of regions, is blamed on `blame` of its path(s); interrupt
-    /// and wrapping findings are not blamed. With a trace, records a
-    /// `"syntactic"` and a `"semantic"` span under it, each parenting
-    /// its checker's `"solve"` spans and carrying its session's
-    /// `asserts_encoded` and `asserts_reused`.
+    /// Checks one tree. Each finding is blamed on `blame` of the paths
+    /// it names (a node, a region, both regions of a collision, or
+    /// every device sharing an interrupt line), each provenance once.
+    /// With a trace, records a `"syntactic"` and a `"semantic"` span
+    /// under it, each parenting its checker's `"solve"` spans and
+    /// carrying its session's `asserts_encoded` and `asserts_reused`.
     pub fn check(
         &mut self,
         tree: &DeviceTree,
@@ -126,27 +126,33 @@ impl<'a> TreeChecker<'a> {
         self.semantic.trace = span.as_ref().map(StageSpan::child);
         let session_base = self.semantic.session_stats();
         let error = |message: String| Diagnostic::error(Stage::Semantic, message);
+        let blame_all = |paths: &[&str]| {
+            let mut blamed: Vec<Provenance> = Vec::new();
+            for p in paths.iter().flat_map(|path| blame(path)) {
+                if !blamed.contains(&p) {
+                    blamed.push(p);
+                }
+            }
+            blamed
+        };
         match tree_regions(tree) {
             Ok((regions, memory)) => {
                 let (report, stats) = self.semantic.check_decoded(tree, &regions);
                 out.findings[ObligationFamily::Collision.index()] = report
                     .collisions
                     .iter()
-                    .map(|c| {
-                        let mut blamed = blame(&c.a.path);
-                        blamed.extend(blame(&c.b.path));
-                        blamed.dedup();
-                        error(c.to_string()).blame(blamed)
-                    })
+                    .map(|c| error(c.to_string()).blame(blame_all(&[&c.a.path, &c.b.path])))
                     .collect();
                 out.findings[ObligationFamily::Interrupt.index()] = report
                     .interrupt_conflicts
                     .iter()
                     .map(|(line, users)| {
+                        let paths: Vec<&str> = users.iter().map(String::as_str).collect();
                         error(format!(
                             "interrupt line {line} claimed by {}",
                             users.join(", ")
                         ))
+                        .blame(blame_all(&paths))
                     })
                     .collect();
                 out.findings[ObligationFamily::Wrapping.index()] = report
@@ -156,6 +162,7 @@ impl<'a> TreeChecker<'a> {
                         error(format!(
                             "region wraps past the end of the address space: {r}"
                         ))
+                        .blame(blame(&r.path))
                     })
                     .collect();
                 if let Some(outer) = self.coverage {

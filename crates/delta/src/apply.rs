@@ -16,7 +16,9 @@ pub struct Provenance {
     pub delta: String,
     /// The operation verb (`adds`, `modifies`, …).
     pub op: String,
-    /// The node path the operation touched.
+    /// The node path the operation touched: the target of a `removes`;
+    /// for an `adds`/`modifies`, each child its fragment names, and
+    /// the target itself only when the fragment sets a property on it.
     pub path: String,
 }
 
@@ -28,7 +30,8 @@ pub struct DerivedProduct {
     pub tree: DeviceTree,
     /// Delta names in application order.
     pub order: Vec<String>,
-    /// One record per applied operation, in application order.
+    /// One record per node an applied operation touched, in
+    /// application order.
     pub provenance: Vec<Provenance>,
 }
 
@@ -152,11 +155,11 @@ impl ProductLine {
         for delta in ordered {
             for op in &delta.ops {
                 apply_op(&mut tree, &delta.name, op)?;
-                provenance.push(Provenance {
+                provenance.extend(touched(op).into_iter().map(|path| Provenance {
                     delta: delta.name.clone(),
                     op: op.verb().to_string(),
-                    path: normalise(op.path()),
-                });
+                    path,
+                }));
             }
         }
         Ok(DerivedProduct {
@@ -173,6 +176,23 @@ fn normalise(path: &str) -> String {
     } else {
         format!("/{path}")
     }
+}
+
+/// The nodes `op` touches (see [`Provenance::path`]). An `adds` under
+/// `/` thus blames the devices it adds, not every node of the tree.
+fn touched(op: &DeltaOp) -> Vec<String> {
+    let target = normalise(op.path());
+    let fragment = match op {
+        DeltaOp::Adds { fragment, .. } | DeltaOp::Modifies { fragment, .. } => fragment,
+        DeltaOp::RemovesNode { .. } | DeltaOp::RemovesProperty { .. } => return vec![target],
+    };
+    let prefix = target.trim_end_matches('/');
+    let children = fragment
+        .children
+        .iter()
+        .map(|child| format!("{prefix}/{}", child.name));
+    let own = (!fragment.properties.is_empty()).then(|| target.clone());
+    own.into_iter().chain(children).collect()
 }
 
 fn apply_op(tree: &mut DeviceTree, delta: &str, op: &DeltaOp) -> Result<(), DeltaError> {
@@ -364,12 +384,43 @@ mod tests {
         assert_eq!(blame.len(), 1);
         assert_eq!(blame[0].delta, "d4");
         assert_eq!(blame[0].op, "modifies");
-        let veth_blame = p.blame("/vEthernet");
+        // d1 added veth0 under /vEthernet; d3 added /vEthernet and set
+        // its cells, and set the root's.
+        let veth_blame = p.blame("/vEthernet/veth0@80000000");
         assert_eq!(veth_blame.len(), 1);
         assert_eq!(veth_blame[0].delta, "d1");
+        let bus_blame = p.blame("/vEthernet");
+        assert_eq!(bus_blame.len(), 1);
+        assert_eq!(bus_blame[0].delta, "d3");
+        assert_eq!(p.blame("/")[0].delta, "d3");
         let subtree = p.blame_subtree("/vEthernet/veth0@80000000");
         assert!(subtree.iter().any(|pr| pr.delta == "d1"));
         assert!(subtree.iter().any(|pr| pr.delta == "d3"));
+    }
+
+    #[test]
+    fn adds_under_root_blames_only_the_added_nodes() {
+        let deltas = DeltaModule::parse_all(
+            "delta add_b { adds binding / { b@0 { }; c@1 { }; }; } \
+             delta cells { modifies / { #size-cells = <1>; }; }",
+        )
+        .unwrap();
+        let p = ProductLine::new(parse(CORE).unwrap(), deltas)
+            .derive(&[])
+            .unwrap();
+        let paths: Vec<(&str, &str)> = p
+            .provenance
+            .iter()
+            .map(|pr| (pr.delta.as_str(), pr.path.as_str()))
+            .collect();
+        assert_eq!(
+            paths,
+            [("cells", "/"), ("add_b", "/b@0"), ("add_b", "/c@1")]
+        );
+        // Only the root property edit reaches an unrelated node.
+        let uart = p.blame_subtree("/uart@20000000");
+        assert_eq!(uart.len(), 1);
+        assert_eq!(uart[0].delta, "cells");
     }
 
     #[test]

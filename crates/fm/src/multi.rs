@@ -267,8 +267,8 @@ impl MultiModel {
     ///
     /// This check stays on the unbroken formula, with no symmetry
     /// breaking: with one VM more than exclusive CPUs it is the
-    /// pigeonhole that `llhsc-bench ablate` uses as its CDCL search
-    /// fixture, on which the in-processing passes must fire.
+    /// pigeonhole formula, which CDCL refutes only in time exponential
+    /// in the CPU count.
     pub fn check(&mut self) -> bool {
         self.ctx.check() == CheckResult::Sat
     }

@@ -152,16 +152,15 @@ pub fn dimacs(input: &[u8]) -> Result<(), String> {
 }
 
 /// Differential testing of the CDCL solver itself: the input bytes
-/// encode a small random CNF (≤ 10 variables, short clauses, so an
-/// exhaustive truth-table check stays cheap), solved under an
-/// *aggressive* configuration — tiny restart interval, eager clause-db
-/// reduction, hair-trigger chronological backtracking — so the
-/// in-processing passes (vivification, subsumption, stabilizing
-/// restarts) actually fire on toy instances. The verdict is checked
-/// against brute-force enumeration, a `Sat` model is evaluated against
-/// every clause, and an `Unsat` verdict's DRAT proof is replayed
-/// through [`check_drat`]: a refutation the in-tree checker rejects is
-/// an invariant violation, not just a wrong answer.
+/// encode a small random CNF (≤ 10 variables, ≤ 24 short clauses, so
+/// an exhaustive truth-table check stays cheap), solved with a Luby
+/// restart base of 1 so that restarts fire on toy instances.
+/// Clause-database reduction waits for 100 learnt clauses, so it is
+/// left to `Solver`'s own tests. The verdict is checked against
+/// brute-force enumeration, a `Sat` model is evaluated against every
+/// clause, and an `Unsat` verdict's DRAT proof is replayed through
+/// [`check_drat`]: a refutation the in-tree checker rejects is an
+/// invariant violation, not just a wrong answer.
 pub fn sat(input: &[u8]) -> Result<(), String> {
     let mut it = input.iter().copied();
     let num_vars = 1 + usize::from(it.next().unwrap_or(3)) % 10;
@@ -189,8 +188,6 @@ pub fn sat(input: &[u8]) -> Result<(), String> {
 
     let mut solver = Solver::with_config(SolverConfig {
         restart_base: 1,
-        learnt_size_factor: 0.05,
-        chrono_threshold: 2,
         ..SolverConfig::default()
     });
     solver.enable_proof();

@@ -11,14 +11,11 @@
 //! checker shares no code with the solver's search, so a bug in the
 //! CDCL machinery cannot vouch for itself.
 //!
-//! The solver (see [`crate::SolverConfig`] and
+//! The solver (see
 //! [`Solver::enable_proof`](crate::Solver::enable_proof)) emits:
 //!
-//! * one `Add` per learnt clause (including learnt units and the
-//!   strengthened clauses produced by vivification and self-subsuming
-//!   resolution),
-//! * one `Delete` per clause removed by database reduction or
-//!   in-processing, and
+//! * one `Add` per learnt clause (learnt units included),
+//! * one `Delete` per clause removed by learnt-database reduction, and
 //! * a final `Add` per UNSAT answer — the empty clause when the formula
 //!   itself is contradictory, or the *negated unsat core*
 //!   (`¬a₁ ∨ … ∨ ¬aₖ` over the failed assumptions) when the answer was

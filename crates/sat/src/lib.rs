@@ -13,7 +13,8 @@
 //!   of a heap allocation per clause) with garbage-collecting
 //!   compaction, blocker literals in the watch lists and special-cased
 //!   binary-clause watchers that propagate without touching the arena,
-//! * first-UIP conflict analysis with recursive clause minimisation,
+//! * first-UIP conflict analysis with basic (non-recursive) clause
+//!   minimisation,
 //! * VSIDS-style exponential variable activity with phase saving,
 //! * Luby-sequence restarts,
 //! * activity-based learnt-clause database reduction,

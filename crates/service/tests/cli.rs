@@ -541,3 +541,70 @@ fn build_words_findings_as_check_does() {
         }
     }
 }
+
+/// A core whose UART the deltas of [`TWO_DELTAS`] run into.
+const TWO_DELTA_CORE: &str = r#"
+/dts-v1/;
+/ {
+    #address-cells = <1>;
+    #size-cells = <1>;
+    memory@80000000 { device_type = "memory"; reg = <0x80000000 0x40000000>; };
+    cpus {
+        #address-cells = <1>;
+        #size-cells = <0>;
+        cpu@0 { device_type = "cpu"; compatible = "arm,cortex-a53"; reg = <0x0>; };
+    };
+    uart@20000000 { compatible = "ns16550a"; reg = <0x20000000 0x1000>; interrupts = <33>; };
+};
+"#;
+
+/// Two deltas that each add one device under `/`: `add_b` a UART on
+/// the core UART's interrupt line, `add_c` an SRAM over the core UART.
+const TWO_DELTAS: &str = "\
+delta add_b when b { adds binding / { uart@20003000 { compatible = \"ns16550a\"; \
+reg = <0x20003000 0x1000>; interrupts = <33>; }; }; }
+delta add_c when c { adds binding / { sram@20000800 { reg = <0x20000800 0x1000>; }; }; }
+";
+
+#[test]
+fn build_blames_each_finding_on_the_delta_that_added_its_node() {
+    let scratch = Scratch::new();
+    let dir = scratch.join("two-deltas");
+    std::fs::create_dir_all(&dir).expect("project dir");
+    for (name, text) in [
+        ("core.dts", TWO_DELTA_CORE),
+        ("deltas.delta", TWO_DELTAS),
+        ("model.fm", "feature P { memory cpu@0 uart@20000000 b c }\n"),
+        ("vms.cfg", "vm1: memory, cpu@0, uart@20000000, b, c\n"),
+    ] {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+    let expected = [
+        "error[semantic]: address collision at 0x20000800: /uart@20000000#reg[0] = \
+         [0x20000000, 0x20001000) overlaps /sram@20000800#reg[0] = [0x20000800, 0x20001800) \
+         (introduced by add_c:adds /sram@20000800)",
+        "error[semantic]: interrupt line 33 claimed by /uart@20000000, /uart@20003000 \
+         (introduced by add_b:adds /uart@20003000)",
+    ];
+    let build = llhsc(&["build", dir.to_str().unwrap()]);
+    let family = llhsc(&["build", "--family", dir.to_str().unwrap()]);
+    for (out, text) in [(&build, &build.stderr), (&family, &family.stdout)] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let text = String::from_utf8_lossy(text);
+        let lines: Vec<String> = text
+            .lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with("error["))
+            .map(|l| l.replacen("[vm1]", "", 1))
+            .collect();
+        for line in expected {
+            assert!(
+                lines.iter().any(|l| l == line),
+                "{line:?} missing from:\n{text}"
+            );
+        }
+        for line in &lines {
+            assert!(expected.contains(&line.as_str()), "unexpected {line:?}");
+        }
+    }
+}

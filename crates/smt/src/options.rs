@@ -19,8 +19,8 @@ use llhsc_sat::{ProgressSink, SolverConfig};
 /// under `certify` because a DRAT proof cannot justify them.
 #[derive(Clone, Default)]
 pub struct CheckOptions {
-    /// CDCL configuration (in-processing passes, restart policy,
-    /// heartbeat interval).
+    /// CDCL configuration: the Luby restart interval and the heartbeat
+    /// interval.
     pub solver: SolverConfig,
     /// Record a DRAT proof of every deduction and replay each `Unsat`
     /// answer through the in-tree checker before reporting it. A proof

@@ -104,7 +104,8 @@ fn provenance_traces_every_touched_node() {
         .derive(&["memory", "veth0", "uart@20000000", "uart@30000000", "cpu@0"])
         .unwrap();
     assert_eq!(p.blame("/memory@40000000")[0].delta, "d4");
-    assert_eq!(p.blame("/vEthernet")[0].delta, "d1");
+    assert_eq!(p.blame("/vEthernet/veth0@80000000")[0].delta, "d1");
+    assert_eq!(p.blame("/vEthernet")[0].delta, "d3");
     let root_blame = p.blame("/");
     assert!(root_blame.iter().any(|pr| pr.delta == "d3"));
 }
