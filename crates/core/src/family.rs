@@ -1112,7 +1112,7 @@ mod tests {
 
         let input = overlapping_board("feature B { ua? ub? }");
         for mode in [CheckMode::Family, CheckMode::Enumerate] {
-            let tracer = Arc::new(Tracer::zeroed());
+            let tracer = Arc::new(Tracer::wall());
             let mut fam = FamilyChecker::with_options(&CheckOptions {
                 trace: Some(TraceCtx::new(Arc::clone(&tracer))),
                 ..CheckOptions::default()
@@ -1154,7 +1154,7 @@ mod tests {
         use llhsc_obs::{TraceCtx, Tracer};
         use std::sync::Arc;
 
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let mut fam = FamilyChecker::with_options(&CheckOptions {
             trace: Some(TraceCtx::new(Arc::clone(&tracer))),
             ..CheckOptions::default()

@@ -65,7 +65,7 @@ pub use llhsc_sat::{
     DratOutcome, Heartbeat, ProgressSink, ProofStep, SolverStats,
 };
 pub use llhsc_smt::{CertStats, CheckOptions, SessionStats, SolverConfig, SolverSession};
-pub use pipeline::{Pipeline, PipelineError, PipelineInput, PipelineOutput, VmSpec};
-pub use report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
+pub use pipeline::{Pipeline, PipelineError, PipelineInput, PipelineOutput, VmSpec, STAGE_SPANS};
+pub use report::{dedup_diagnostics, Diagnostic, Severity, Stage};
 pub use semantic::{Collision, RegionCheckStats, RegionRef, SemanticChecker, SemanticReport};
 pub use tree_check::{ProofBundle, TreeCheck, TreeChecker};

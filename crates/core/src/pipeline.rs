@@ -26,7 +26,6 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use llhsc_delta::{DeltaModule, DerivedProduct, ProductLine, Provenance};
 use llhsc_dts::hash::{stable_hash_of, Fnv1a};
@@ -39,7 +38,7 @@ use llhsc_schema::SchemaSet;
 use llhsc_smt::CheckOptions;
 
 use crate::cache::{AllocationNames, CacheClass, CacheEntry, CachedCheck, PipelineCache};
-use crate::report::{dedup_diagnostics, Diagnostic, Severity, Stage, StageTimings};
+use crate::report::{dedup_diagnostics, Diagnostic, Severity, Stage};
 use crate::semantic::{misaligned, RegionCheckStats, SemanticChecker};
 use crate::tree_check::TreeChecker;
 
@@ -89,8 +88,6 @@ pub struct PipelineOutput {
     pub platform_c: String,
     /// Non-fatal findings (delta orders, warnings), deduplicated.
     pub diagnostics: Vec<Diagnostic>,
-    /// Wall-clock time per stage.
-    pub timings: StageTimings,
     /// Region-disjointness cost counters, aggregated over every
     /// checked tree (all zero when the semantic checker was skipped;
     /// replayed from the cache when a stage result was a cache hit).
@@ -139,6 +136,17 @@ impl std::error::Error for PipelineError {}
 /// Stage-2 translation granularity: a region whose base or size is not
 /// a multiple of this draws a warning.
 const PAGE_SIZE: u128 = 0x1000;
+
+/// The names of the pipeline's stage spans, in the order of Fig. 2.
+/// Their durations are a run's stage timings: `--stats` and the
+/// daemon's `build` frame read them from the span tree.
+pub const STAGE_SPANS: [&str; 5] = [
+    "allocation",
+    "derivation",
+    "checking",
+    "coverage",
+    "generation",
+];
 
 /// The llhsc tool: runs the Fig. 2 workflow.
 #[derive(Debug, Default)]
@@ -258,12 +266,10 @@ impl Pipeline {
     ) -> Result<PipelineOutput, PipelineError> {
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
         let mut errors = false;
-        let mut timings = StageTimings::default();
         let mut solver_totals = SolverStats::default();
         let mut session_totals = llhsc_smt::SessionStats::default();
 
         // ---- Stage 1: resource allocation (§IV-A) ----
-        let stage_start = Instant::now();
         let alloc_span = StageSpan::begin(trace, "allocation");
         let mut selections: Vec<Vec<llhsc_fm::FeatureId>> = Vec::new();
         for (k, vm) in input.vms.iter().enumerate() {
@@ -344,10 +350,8 @@ impl Pipeline {
                 return Err(PipelineError { diagnostics });
             }
         };
-        timings.allocation = stage_start.elapsed();
 
         // ---- Stage 2: derive DTSs (§III-B) ----
-        let stage_start = Instant::now();
         let deriv_span = StageSpan::begin(trace, "derivation");
         let line = ProductLine::new(input.core.clone(), input.deltas.clone());
         let mut vm_products: Vec<DerivedProduct> = Vec::new();
@@ -385,7 +389,6 @@ impl Pipeline {
             return Err(PipelineError { diagnostics });
         }
         let platform_product = platform_product.expect("checked above");
-        timings.derivation = stage_start.elapsed();
 
         // ---- Stage 3+4: check every derived tree ----
         // The trees are independent, so they are checked in parallel
@@ -399,7 +402,6 @@ impl Pipeline {
         // schemas; diagnostics are cached VM-less and stamped after
         // retrieval so identical products can share an entry across VM
         // slots.
-        let stage_start = Instant::now();
         let check_span = StageSpan::begin(trace, "checking");
         let check_ctx = check_span.as_ref().map(StageSpan::child);
         let check_ctx = check_ctx.as_ref();
@@ -519,13 +521,11 @@ impl Pipeline {
             diagnostics.extend(tree_diags);
         }
         StageSpan::finish(check_span);
-        timings.checking = stage_start.elapsed();
         if errors {
             return Err(PipelineError { diagnostics });
         }
 
         // ---- Stage 4b: cross-tree coverage (§IV-C, 2-stage translation)
-        let stage_start = Instant::now();
         let cov_span = StageSpan::begin(trace, "coverage");
         // Every VM memory region must be backed by platform memory.
         // Cached per (VM product, platform product) pair: an edit that
@@ -584,13 +584,11 @@ impl Pipeline {
             }
         }
         StageSpan::finish(cov_span);
-        timings.coverage = stage_start.elapsed();
         if errors {
             return Err(PipelineError { diagnostics });
         }
 
         // ---- Stage 5: generate configurations (§II-C) ----
-        let stage_start = Instant::now();
         let gen_span = StageSpan::begin(trace, "generation");
         let platform_config = match PlatformConfig::from_tree(&platform_product.tree) {
             Ok(c) => c,
@@ -619,7 +617,6 @@ impl Pipeline {
         let vm_dts: Vec<String> = vm_trees.iter().map(llhsc_dts::print).collect();
         let vm_c: Vec<String> = vm_configs.iter().map(VmConfig::to_c).collect();
         StageSpan::finish(gen_span);
-        timings.generation = stage_start.elapsed();
         Ok(PipelineOutput {
             platform_dts: llhsc_dts::print(&platform_product.tree),
             platform_tree: platform_product.tree,
@@ -630,7 +627,6 @@ impl Pipeline {
             vm_configs,
             vm_c,
             diagnostics,
-            timings,
             semantic_stats,
             solver_stats: solver_totals,
             session_stats: session_totals,
@@ -1001,7 +997,7 @@ mod tests {
             },
         };
 
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let out = traced(&tracer)
             .run_cached(&input, Some(&cache))
             .expect("traced run succeeds");
@@ -1010,14 +1006,7 @@ mod tests {
             spans.iter().all(|s| s.dur_us.is_some()),
             "every span closed"
         );
-        for stage in [
-            "pipeline",
-            "allocation",
-            "derivation",
-            "checking",
-            "coverage",
-            "generation",
-        ] {
+        for stage in std::iter::once("pipeline").chain(STAGE_SPANS) {
             assert!(
                 spans.iter().any(|s| s.name == stage),
                 "missing {stage} span"
@@ -1057,7 +1046,7 @@ mod tests {
 
         // Warm run: verdicts replay from the cache — product checks
         // report their hit, nothing solves, totals are zero.
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let warm = traced(&tracer)
             .run_cached(&input, Some(&cache))
             .expect("warm traced run succeeds");

@@ -1,7 +1,6 @@
 //! Unified diagnostics across pipeline stages.
 
 use std::fmt;
-use std::time::Duration;
 
 use llhsc_delta::Provenance;
 
@@ -51,42 +50,6 @@ impl fmt::Display for Stage {
             Stage::Semantic => "semantic",
             Stage::Generation => "generation",
         })
-    }
-}
-
-/// Wall-clock time spent in each pipeline stage of one run, in the
-/// order of Fig. 2. Checking covers the syntactic + semantic pass over
-/// every derived tree (stage 3+4), whether it ran serially or fanned
-/// out across threads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Stage 1: resource-allocation checking (§IV-A).
-    pub allocation: Duration,
-    /// Stage 2: delta derivation of every product (§III-B).
-    pub derivation: Duration,
-    /// Stage 3+4: per-tree syntactic + semantic checking (§IV-B/C).
-    pub checking: Duration,
-    /// Stage 4b: cross-tree memory-coverage checking.
-    pub coverage: Duration,
-    /// Stage 5: hypervisor-configuration generation (§II-C).
-    pub generation: Duration,
-}
-
-impl StageTimings {
-    /// Sum over all stages.
-    pub fn total(&self) -> Duration {
-        self.allocation + self.derivation + self.checking + self.coverage + self.generation
-    }
-}
-
-impl fmt::Display for StageTimings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "  allocation  {:>10.1?}", self.allocation)?;
-        writeln!(f, "  derivation  {:>10.1?}", self.derivation)?;
-        writeln!(f, "  checking    {:>10.1?}", self.checking)?;
-        writeln!(f, "  coverage    {:>10.1?}", self.coverage)?;
-        writeln!(f, "  generation  {:>10.1?}", self.generation)?;
-        write!(f, "  total       {:>10.1?}", self.total())
     }
 }
 

@@ -4,8 +4,6 @@
 //! a tree through [`TreeChecker::check`], and only render, stamp or
 //! index its findings.
 
-use std::time::{Duration, Instant};
-
 use llhsc_delta::Provenance;
 use llhsc_dts::DeviceTree;
 use llhsc_obs::TraceCtx;
@@ -37,8 +35,6 @@ pub struct TreeCheck {
     pub solver: SolverStats,
     /// Session reuse of both checkers.
     pub session: SessionStats,
-    /// Wall-clock time of the semantic check; zero when it did not run.
-    pub elapsed: Duration,
 }
 
 /// One stage's exported refutation material: the accumulated formula
@@ -121,7 +117,6 @@ impl<'a> TreeChecker<'a> {
             .map(|v| Diagnostic::error(Stage::Syntactic, v.to_string()).blame(blame(&v.path)))
             .collect();
 
-        let started = Instant::now();
         let span = StageSpan::begin(trace, "semantic");
         self.semantic.trace = span.as_ref().map(StageSpan::child);
         let session_base = self.semantic.session_stats();
@@ -176,7 +171,6 @@ impl<'a> TreeChecker<'a> {
                 out.solver.merge(&stats.solver);
                 out.stats = stats;
                 out.regions = regions;
-                out.elapsed = started.elapsed();
             }
             Err(e) => out.input_error = Some(error(e.to_string())),
         }

@@ -1,9 +1,9 @@
 //! Injectable time sources.
 //!
 //! The tracer never calls `Instant::now` directly; it asks a [`Clock`]
-//! for "microseconds since the clock was created". Tests and the
-//! byte-stable `--report-json` path substitute [`ZeroClock`] so span
-//! timestamps and durations are deterministic.
+//! for "microseconds since the clock was created". Every tracer the
+//! tool builds reads the [`WallClock`]; unit tests substitute a
+//! [`ManualClock`] for predictable timestamps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -38,17 +38,6 @@ impl Default for WallClock {
 impl Clock for WallClock {
     fn now_us(&self) -> u64 {
         u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
-/// Always returns 0. Used for golden-file tests and the deterministic
-/// report mode: every span gets `ts = 0, dur = 0`, so serialized output
-/// depends only on the input, never on machine speed.
-pub struct ZeroClock;
-
-impl Clock for ZeroClock {
-    fn now_us(&self) -> u64 {
-        0
     }
 }
 
@@ -93,13 +82,6 @@ mod tests {
         let a = c.now_us();
         let b = c.now_us();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn zero_clock_is_always_zero() {
-        let c = ZeroClock;
-        assert_eq!(c.now_us(), 0);
-        assert_eq!(c.now_us(), 0);
     }
 
     #[test]

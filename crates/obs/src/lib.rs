@@ -16,9 +16,10 @@
 //! The crate deliberately depends on nothing (not even other llhsc
 //! crates) so every layer — `sat` excepted, which stays instrumentation
 //! free — can link it without cycles. Time is injectable via [`Clock`]:
-//! golden tests and the byte-stability contract of `--report-json` use
-//! [`ZeroClock`] (selected by `LLHSC_TRACE_ZERO_TIME=1`) so that two runs
-//! over the same input serialize to identical bytes.
+//! the tool records every span on the [`WallClock`], once, and every
+//! view of where a run's time went (`--stats`, the daemon's `build`
+//! timings, slow-request dumps) reads those spans. Unit tests use a
+//! [`ManualClock`].
 
 pub mod clock;
 pub mod flight;
@@ -26,16 +27,11 @@ pub mod log;
 pub mod metrics;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, WallClock, ZeroClock};
+pub use clock::{Clock, ManualClock, WallClock};
 pub use flight::{FlightRecord, FlightRecorder};
 pub use log::{LogLevel, Logger};
 pub use metrics::{Counter, Exemplar, Histogram, MetricKind, Registry};
 pub use trace::{chrome_trace_of, SpanId, SpanRecord, TraceCtx, Tracer};
-
-/// Name of the environment variable that switches tracers built with
-/// [`Tracer::from_env`] onto the zero clock, making span timestamps and
-/// durations deterministic (always 0).
-pub const ZERO_TIME_ENV: &str = "LLHSC_TRACE_ZERO_TIME";
 
 /// Name of the environment variable read by [`Logger::from_env`].
 pub const LOG_ENV: &str = "LLHSC_LOG";

@@ -20,8 +20,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-use crate::clock::{Clock, WallClock, ZeroClock};
-use crate::ZERO_TIME_ENV;
+use crate::clock::{Clock, WallClock};
 
 /// Index of a span within its tracer. Copyable, cheap, and only
 /// meaningful together with the tracer that issued it.
@@ -87,21 +86,6 @@ impl Tracer {
         Tracer::with_clock(Box::new(WallClock::new()))
     }
 
-    /// Deterministic tracer: every timestamp and duration is 0.
-    pub fn zeroed() -> Tracer {
-        Tracer::with_clock(Box::new(ZeroClock))
-    }
-
-    /// Wall tracer, unless `LLHSC_TRACE_ZERO_TIME=1` selects the zero
-    /// clock (used by golden tests and the local/daemon parity test).
-    pub fn from_env() -> Tracer {
-        if zero_time_from_env() {
-            Tracer::zeroed()
-        } else {
-            Tracer::wall()
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A poisoned tracer mutex means a panic mid-record; traces are
         // diagnostics, so keep serving the surviving data.
@@ -150,13 +134,15 @@ impl Tracer {
         }
     }
 
-    /// Duration of a finished span, 0 if open or unknown.
-    pub fn duration_us(&self, id: SpanId) -> u64 {
+    /// Total duration of the finished spans named `name`, the time a
+    /// stage took however many times it ran.
+    pub fn total_us(&self, name: &str) -> u64 {
         self.lock()
             .spans
-            .get(id.0 as usize)
-            .and_then(|s| s.dur_us)
-            .unwrap_or(0)
+            .iter()
+            .filter(|s| s.name == name)
+            .filter_map(|s| s.dur_us)
+            .sum()
     }
 
     /// Snapshot of every span recorded so far, in creation order.
@@ -208,14 +194,6 @@ pub fn chrome_trace_of(spans: &[SpanRecord]) -> String {
     }
     out.push_str("\n]\n");
     out
-}
-
-/// Whether `LLHSC_TRACE_ZERO_TIME=1` is set (shared by CLI and daemon so
-/// both sides of the parity test agree on the clock).
-pub fn zero_time_from_env() -> bool {
-    std::env::var(ZERO_TIME_ENV)
-        .map(|v| v == "1")
-        .unwrap_or(false)
 }
 
 /// Minimal JSON string escaper (quotes, backslash, control chars).
@@ -303,16 +281,24 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
+    /// A [`ManualClock`] the test keeps advancing after the tracer owns it.
+    struct Shared(Arc<ManualClock>);
+
+    impl Clock for Shared {
+        fn now_us(&self) -> u64 {
+            self.0.now_us()
+        }
+    }
+
+    fn manual_tracer() -> (Tracer, Arc<ManualClock>) {
+        let clock = Arc::new(ManualClock::new());
+        let tracer = Tracer::with_clock(Box::new(Shared(Arc::clone(&clock))));
+        (tracer, clock)
+    }
+
     #[test]
     fn spans_record_hierarchy_and_durations() {
-        let clock = Arc::new(ManualClock::new());
-        struct Shared(Arc<ManualClock>);
-        impl Clock for Shared {
-            fn now_us(&self) -> u64 {
-                self.0.now_us()
-            }
-        }
-        let tracer = Tracer::with_clock(Box::new(Shared(Arc::clone(&clock))));
+        let (tracer, clock) = manual_tracer();
         let root = tracer.begin("pipeline", None);
         clock.advance(10);
         let child = tracer.begin("stage", Some(root));
@@ -329,11 +315,19 @@ mod tests {
         assert_eq!(spans[1].parent, Some(root));
         assert_eq!(spans[1].start_us, 10);
         assert_eq!(spans[1].dur_us, Some(5));
+
+        // A second "stage" adds to the first; open spans add nothing.
+        let again = tracer.begin("stage", Some(root));
+        clock.advance(3);
+        tracer.end(again);
+        tracer.begin("stage", Some(root));
+        assert_eq!(tracer.total_us("stage"), 8);
+        assert_eq!(tracer.total_us("missing"), 0);
     }
 
     #[test]
     fn counters_accumulate() {
-        let tracer = Tracer::zeroed();
+        let tracer = Tracer::wall();
         let id = tracer.begin("solve", None);
         tracer.add(id, "decisions", 3);
         tracer.add(id, "decisions", 4);
@@ -347,16 +341,18 @@ mod tests {
 
     #[test]
     fn double_end_keeps_first_duration() {
-        let tracer = Tracer::zeroed();
+        let (tracer, clock) = manual_tracer();
         let id = tracer.begin("x", None);
+        clock.advance(4);
         tracer.end(id);
+        clock.advance(9);
         tracer.end(id);
-        assert_eq!(tracer.spans()[0].dur_us, Some(0));
+        assert_eq!(tracer.spans()[0].dur_us, Some(4));
     }
 
     #[test]
     fn trace_ctx_parents_children() {
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let ctx = TraceCtx::new(Arc::clone(&tracer));
         let root = ctx.begin("root");
         let inner = ctx.at(root);
@@ -369,7 +365,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
-        let tracer = Tracer::zeroed();
+        let tracer = Tracer::wall();
         let root = tracer.begin("pipeline", None);
         let solve = tracer.begin("solve", Some(root));
         tracer.add(solve, "decisions", 2);
@@ -382,20 +378,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"decisions\":2"));
         assert!(json.contains("\"parent\":0"));
-    }
-
-    #[test]
-    fn zeroed_tracer_is_deterministic() {
-        let render = || {
-            let tracer = Tracer::zeroed();
-            let root = tracer.begin("a", None);
-            let child = tracer.begin("b", Some(root));
-            tracer.add(child, "k", 1);
-            tracer.end(child);
-            tracer.end(root);
-            tracer.chrome_trace()
-        };
-        assert_eq!(render(), render());
     }
 
     #[test]

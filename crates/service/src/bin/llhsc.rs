@@ -34,6 +34,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use llhsc::{
     check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, CheckMode, CheckOptions,
@@ -113,11 +114,11 @@ fn usage() -> ExitCode {
            --seed S              RNG seed (count, sample)\n\
          \n\
          options:\n\
-           --stats            print per-stage wall times and solver statistics\n\
-                              (check, build, demo)\n\
+           --stats            print per-stage wall times, read from the run's\n\
+                              stage spans, and solver statistics (check,\n\
+                              build, demo)\n\
            --trace <file>     write a Chrome-trace JSON of the run's span tree\n\
-                              (check, build, demo; LLHSC_TRACE_ZERO_TIME=1\n\
-                              zeroes timestamps for reproducible output)\n\
+                              (check, build, demo)\n\
            --report-json <file>  write the machine-readable check report\n\
                               (check, client check)\n\
            --progress         print a live in-solve heartbeat line to stderr\n\
@@ -181,30 +182,19 @@ fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
     args.len() != before
 }
 
-/// A live tracer plus the path its Chrome-trace JSON goes to
-/// (`--trace`). Honors `LLHSC_TRACE_ZERO_TIME` so CI can produce
-/// reproducible traces.
-struct TraceSink {
-    tracer: Arc<Tracer>,
-    path: PathBuf,
+/// A context recording the run's span tree into `tracer` when `wanted`,
+/// that is when some view of it was asked for: `--trace` writes it,
+/// `--stats` reads stage times from it, `--report-json` embeds it.
+fn trace_ctx(tracer: &Arc<Tracer>, wanted: bool) -> Option<TraceCtx> {
+    wanted.then(|| TraceCtx::new(Arc::clone(tracer)))
 }
 
-impl TraceSink {
-    fn new(path: Option<String>) -> Option<TraceSink> {
-        path.map(|p| TraceSink {
-            tracer: Arc::new(Tracer::from_env()),
-            path: PathBuf::from(p),
-        })
-    }
-
-    fn ctx(&self) -> TraceCtx {
-        TraceCtx::new(Arc::clone(&self.tracer))
-    }
-
-    /// Writes the trace file; `Err` already rendered to stderr.
-    fn write(self) -> Result<(), ()> {
-        write_output(&self.path, self.tracer.chrome_trace().as_bytes())
-    }
+/// Writes `tracer`'s span tree as Chrome-trace JSON to the `--trace`
+/// file, if one was asked for; `Err` already rendered to stderr.
+fn write_trace(path: Option<&str>, tracer: &Tracer) -> Result<(), ()> {
+    path.map_or(Ok(()), |path| {
+        write_output(Path::new(path), tracer.chrome_trace().as_bytes())
+    })
 }
 
 /// Writes a CLI output artifact, rendering failures as tool errors.
@@ -606,10 +596,17 @@ fn print_session_stats(session: &llhsc::SessionStats) {
     println!("  checks            {:>10}", session.checks);
 }
 
-/// Renders a pipeline run's instrumentation (`--stats`).
-fn print_pipeline_stats(out: &llhsc::PipelineOutput) {
+/// Renders a pipeline run's instrumentation (`--stats`); each stage's
+/// time is the duration of its span in `tracer`.
+fn print_pipeline_stats(out: &llhsc::PipelineOutput, tracer: &Tracer) {
     println!("stage timings:");
-    println!("{}", out.timings);
+    let mut total = Duration::ZERO;
+    for stage in llhsc::STAGE_SPANS {
+        let took = Duration::from_micros(tracer.total_us(stage));
+        total += took;
+        println!("  {stage:<12}{took:>10.1?}");
+    }
+    println!("  {:<12}{total:>10.1?}", "total");
     print_region_stats(&out.semantic_stats);
     print_solver_totals(&out.solver_stats);
     print_session_stats(&out.session_stats);
@@ -975,19 +972,20 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
         return usage();
     }
     let dir = Path::new(&args[0]);
-    let sink = TraceSink::new(trace_path);
+    let tracer = Arc::new(Tracer::wall());
     let options = CheckOptions {
         certify,
-        trace: sink.as_ref().map(TraceSink::ctx),
+        trace: trace_ctx(&tracer, stats || trace_path.is_some()),
         ..CheckOptions::default()
     };
+    let trace_path = trace_path.as_deref();
     if family || family_enumerate {
         let mode = if family {
             llhsc::family::CheckMode::Family
         } else {
             llhsc::family::CheckMode::Enumerate
         };
-        return cmd_build_family(dir, mode, &options, stats, sink);
+        return cmd_build_family(dir, mode, &options, stats, trace_path, &tracer);
     }
     let result = (|| -> Result<llhsc::PipelineOutput, BuildFailure> {
         let input = load_build_input(dir, true).map_err(BuildFailure::Input)?;
@@ -996,10 +994,8 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
             .map_err(|e| BuildFailure::Rejected(e.to_string()))
     })();
 
-    if let Some(sink) = sink {
-        if sink.write().is_err() {
-            return ExitCode::from(EXIT_FAILURE);
-        }
+    if write_trace(trace_path, &tracer).is_err() {
+        return ExitCode::from(EXIT_FAILURE);
     }
     match result {
         Err(BuildFailure::Input(e)) => {
@@ -1052,7 +1048,7 @@ fn cmd_build(mut args: Vec<String>, stats: bool) -> ExitCode {
                 println!("wrote {}", path.display());
             }
             if stats {
-                print_pipeline_stats(&out);
+                print_pipeline_stats(&out, &tracer);
             }
             ExitCode::SUCCESS
         }
@@ -1068,7 +1064,8 @@ fn cmd_build_family(
     mode: llhsc::family::CheckMode,
     options: &CheckOptions,
     stats: bool,
-    sink: Option<TraceSink>,
+    trace_path: Option<&str>,
+    tracer: &Tracer,
 ) -> ExitCode {
     let input = match load_build_input(dir, false) {
         Ok(i) => i,
@@ -1086,10 +1083,8 @@ fn cmd_build_family(
             cert.proofs, cert.steps, cert.checked
         );
     }
-    if let Some(sink) = sink {
-        if sink.write().is_err() {
-            return ExitCode::from(EXIT_FAILURE);
-        }
+    if write_trace(trace_path, tracer).is_err() {
+        return ExitCode::from(EXIT_FAILURE);
     }
     match result {
         Err(e) => {
@@ -1157,20 +1152,15 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
             return ExitCode::from(EXIT_FAILURE);
         }
     };
-    let sink = TraceSink::new(trace_path);
-    // The report document embeds the (time-free) span tree, so a report
-    // run is always traced — against a zeroed clock when no `--trace`
-    // file asked for real timestamps.
-    let tracer = match &sink {
-        Some(s) => Some(Arc::clone(&s.tracer)),
-        None if report_path.is_some() => Some(Arc::new(Tracer::zeroed())),
-        None => None,
-    };
+    let tracer = Arc::new(Tracer::wall());
     let options = CheckOptions {
         certify,
         progress: progress
-            .then(|| Arc::new(StderrProgress::from_env()) as Arc<dyn llhsc::ProgressSink>),
-        trace: tracer.as_ref().map(|t| TraceCtx::new(Arc::clone(t))),
+            .then(|| Arc::new(StderrProgress::default()) as Arc<dyn llhsc::ProgressSink>),
+        trace: trace_ctx(
+            &tracer,
+            stats || trace_path.is_some() || report_path.is_some(),
+        ),
         ..CheckOptions::default()
     };
     let (outcome, bundles) = check_tree_with(&tree, &options);
@@ -1207,19 +1197,16 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
             );
         }
     }
-    if let Some(sink) = sink {
-        if sink.write().is_err() {
-            return ExitCode::from(EXIT_FAILURE);
-        }
+    if write_trace(trace_path.as_deref(), &tracer).is_err() {
+        return ExitCode::from(EXIT_FAILURE);
     }
     if let Some(report_path) = report_path {
-        let spans = tracer.as_ref().map(|t| t.spans()).unwrap_or_default();
         let doc = check_report_json(
             &outcome.report,
             &outcome.stats,
             &outcome.solver,
             &outcome.session,
-            &spans,
+            &tracer.spans(),
             outcome.cert.as_ref(),
         );
         let mut bytes = doc.to_string();
@@ -1229,7 +1216,8 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
         }
     }
     if stats {
-        println!("semantic check time: {:.1?}", outcome.elapsed);
+        let semantic = Duration::from_micros(tracer.total_us("semantic"));
+        println!("semantic check time: {semantic:.1?}");
         print_region_stats(&outcome.stats);
         print_solver_totals(&outcome.solver);
         print_session_stats(&outcome.session);
@@ -1366,19 +1354,17 @@ fn cmd_demo(mut args: Vec<String>, stats: bool) -> ExitCode {
     let Ok(trace_path) = parsed else {
         return usage();
     };
-    let sink = TraceSink::new(trace_path);
+    let tracer = Arc::new(Tracer::wall());
     let input = llhsc::running_example::pipeline_input();
     let result = Pipeline {
         options: CheckOptions {
-            trace: sink.as_ref().map(TraceSink::ctx),
+            trace: trace_ctx(&tracer, stats || trace_path.is_some()),
             ..CheckOptions::default()
         },
     }
     .run(&input);
-    if let Some(sink) = sink {
-        if sink.write().is_err() {
-            return ExitCode::from(EXIT_FAILURE);
-        }
+    if write_trace(trace_path.as_deref(), &tracer).is_err() {
+        return ExitCode::from(EXIT_FAILURE);
     }
     match result {
         Ok(out) => {
@@ -1397,7 +1383,7 @@ fn cmd_demo(mut args: Vec<String>, stats: bool) -> ExitCode {
                 println!("=== vm{} config (Listing 6 shape) ===\n{c}", i + 1);
             }
             if stats {
-                print_pipeline_stats(&out);
+                print_pipeline_stats(&out, &tracer);
             }
             ExitCode::SUCCESS
         }

@@ -33,8 +33,8 @@ pub struct CachedTreeCheck {
     pub solver: SolverStats,
     /// Session reuse counters of the fresh run.
     pub session: SessionStats,
-    /// Span tree of the fresh run (recorded against a zeroed clock),
-    /// replayed into the report document on cache hits.
+    /// Span tree of the fresh run, replayed into the report document
+    /// on cache hits (which renders it without times).
     pub spans: Vec<llhsc_obs::SpanRecord>,
 }
 

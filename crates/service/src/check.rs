@@ -4,8 +4,6 @@
 //! `llhsc client check` is byte-identical to `llhsc check` by
 //! construction: only the transport differs.
 
-use std::time::Duration;
-
 use llhsc::{CertStats, CheckOptions, RegionCheckStats, SessionStats, SolverStats, TreeChecker};
 use llhsc_dts::DeviceTree;
 use llhsc_schema::SchemaSet;
@@ -41,8 +39,6 @@ pub struct CheckOutcome {
     /// and assertion work was amortized against already bit-blasted
     /// slices (summed over the syntactic and semantic sessions).
     pub session: SessionStats,
-    /// Wall-clock time of the semantic check.
-    pub elapsed: Duration,
     /// DRAT certification counters, summed over the syntactic and
     /// semantic sessions. `None` unless the check ran with
     /// [`CheckOptions::certify`] set. When present, every `Unsat` verdict the
@@ -125,7 +121,6 @@ pub fn check_tree_with(tree: &DeviceTree, opts: &CheckOptions) -> (CheckOutcome,
             stats: checked.stats,
             solver: checked.solver,
             session: checked.session,
-            elapsed: checked.elapsed,
             cert,
         },
         bundles,
@@ -164,7 +159,7 @@ mod tests {
              \x20   uart@2000 { reg = <0x2000 0x1000>; }; };",
         )
         .unwrap();
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let ctx = TraceCtx::new(Arc::clone(&tracer));
         let (traced, _) = check_tree_with(
             &tree,

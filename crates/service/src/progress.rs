@@ -8,9 +8,8 @@
 //!   per in-flight request, surfaced live through the `stats` op's
 //!   `"active"` array.
 //! * [`StderrProgress`] — the `llhsc check --progress` printer: one
-//!   stderr line per heartbeat with a conflicts/s rate computed from an
-//!   injectable clock (the zero clock under `LLHSC_TRACE_ZERO_TIME=1`,
-//!   making the lines byte-deterministic).
+//!   stderr line per heartbeat with a conflicts/s rate on the wall
+//!   clock.
 //!
 //! Both are observation-only by construction: the solver hands the sink
 //! an immutable snapshot and never reads anything back, so attaching a
@@ -20,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use llhsc::{Heartbeat, ProgressSink};
-use llhsc_obs::{trace::zero_time_from_env, Clock, WallClock, ZeroClock};
+use llhsc_obs::{Clock, WallClock};
 
 /// Live progress of one daemon request, updated by solver heartbeats.
 ///
@@ -111,41 +110,16 @@ impl ProgressSink for RequestProgress {
 
 /// The `llhsc check --progress` sink: one stderr line per heartbeat.
 ///
-/// The conflicts/s rate comes from the sink's own clock, never from the
-/// solver — under `LLHSC_TRACE_ZERO_TIME=1` the clock reads 0, the rate
-/// renders as `-`, and two runs over the same input emit identical
-/// progress lines (the heartbeat cadence is conflict-count based).
+/// The conflicts/s rate comes from the sink's own wall clock, never
+/// from the solver; everything else on the line is conflict-count
+/// based, as is the heartbeat cadence, so two runs over the same input
+/// print the same lines up to their rates.
+#[derive(Default)]
 pub struct StderrProgress {
-    clock: Box<dyn Clock>,
-    beats: AtomicU64,
-}
-
-impl Default for StderrProgress {
-    fn default() -> StderrProgress {
-        StderrProgress::from_env()
-    }
+    clock: WallClock,
 }
 
 impl StderrProgress {
-    /// Wall-clock rates, unless `LLHSC_TRACE_ZERO_TIME=1` selects the
-    /// zero clock (deterministic output).
-    pub fn from_env() -> StderrProgress {
-        let clock: Box<dyn Clock> = if zero_time_from_env() {
-            Box::new(ZeroClock)
-        } else {
-            Box::new(WallClock::new())
-        };
-        StderrProgress {
-            clock,
-            beats: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of heartbeats printed so far.
-    pub fn beats(&self) -> u64 {
-        self.beats.load(Ordering::Relaxed)
-    }
-
     /// Renders one heartbeat as the line `--progress` prints (without
     /// the trailing newline). Public so tests can pin the format.
     pub fn render(beat: &Heartbeat, elapsed_us: u64) -> String {
@@ -166,7 +140,6 @@ impl StderrProgress {
 
 impl ProgressSink for StderrProgress {
     fn heartbeat(&self, beat: &Heartbeat) {
-        self.beats.fetch_add(1, Ordering::Relaxed);
         eprintln!("{}", StderrProgress::render(beat, self.clock.now_us()));
     }
 }
@@ -208,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn progress_line_is_deterministic_on_the_zero_clock() {
+    fn progress_line_format_is_pinned() {
         let beat = Heartbeat {
             solves: 1,
             conflicts: 4096,

@@ -8,7 +8,8 @@
 //! answers `ok: true` with `clean: false`; error frames are for
 //! malformed requests, oversized payloads and frontend parse failures.
 
-use llhsc::{Diagnostic, PipelineError, PipelineOutput, RegionCheckStats, StageTimings};
+use llhsc::{Diagnostic, PipelineError, PipelineOutput, RegionCheckStats, STAGE_SPANS};
+use llhsc_obs::Tracer;
 use llhsc_schema::SchemaSet;
 
 use crate::check::CheckReport;
@@ -347,16 +348,13 @@ fn diagnostics_json(diags: &[Diagnostic]) -> Json {
     )
 }
 
-fn timings_json(t: &StageTimings) -> Json {
-    let us = |d: std::time::Duration| Json::from(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    Json::obj([
-        ("allocation_us", us(t.allocation)),
-        ("derivation_us", us(t.derivation)),
-        ("checking_us", us(t.checking)),
-        ("coverage_us", us(t.coverage)),
-        ("generation_us", us(t.generation)),
-        ("total_us", us(t.total())),
-    ])
+/// The run's stage timings: the durations of its stage spans, and
+/// their sum.
+fn timings_json(tracer: &Tracer) -> Json {
+    let stages = STAGE_SPANS.map(|stage| (format!("{stage}_us"), tracer.total_us(stage)));
+    let total: u64 = stages.iter().map(|(_, us)| us).sum();
+    let fields = stages.into_iter().chain([("total_us".to_string(), total)]);
+    Json::Obj(fields.map(|(key, us)| (key, us.into())).collect())
 }
 
 fn region_stats_json(s: &RegionCheckStats) -> Json {
@@ -372,8 +370,9 @@ fn region_stats_json(s: &RegionCheckStats) -> Json {
     ])
 }
 
-/// The `build` response for a run that produced outputs.
-pub fn build_ok_frame(out: &PipelineOutput) -> Json {
+/// The `build` response for a run that produced outputs, its timings
+/// read from the run's span tree in `tracer`.
+pub fn build_ok_frame(out: &PipelineOutput, tracer: &Tracer) -> Json {
     Json::obj([
         ("ok", Json::Bool(true)),
         ("clean", Json::Bool(true)),
@@ -388,7 +387,7 @@ pub fn build_ok_frame(out: &PipelineOutput) -> Json {
             "vm_c",
             Json::Arr(out.vm_c.iter().map(|s| s.as_str().into()).collect()),
         ),
-        ("timings", timings_json(&out.timings)),
+        ("timings", timings_json(tracer)),
         ("region_stats", region_stats_json(&out.semantic_stats)),
     ])
 }

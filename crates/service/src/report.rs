@@ -165,11 +165,11 @@ mod tests {
             decisions: 5,
             ..SolverStats::default()
         };
-        // Spans from a wall-clock and a zeroed tracer render the same
-        // bytes: the document is time-free.
-        let spans = |zeroed: bool| {
-            let t = if zeroed {
-                llhsc_obs::Tracer::zeroed()
+        // Spans from a wall-clock and a stopped-clock tracer render the
+        // same bytes: the document is time-free.
+        let spans = |stopped: bool| {
+            let t = if stopped {
+                llhsc_obs::Tracer::with_clock(Box::new(llhsc_obs::ManualClock::new()))
             } else {
                 llhsc_obs::Tracer::wall()
             };

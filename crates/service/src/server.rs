@@ -475,9 +475,10 @@ fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: 
 
 /// Writes a slow request's span tree to
 /// `<slow_trace_dir>/llhsc-slow-<trace_id>.trace.json` and logs a warn
-/// line naming the trace ID. Requests without a recorded span tree
-/// (ping, stats, …) dump a single synthetic span so every capture is a
-/// well-formed, non-empty Chrome trace.
+/// line naming the trace ID. A request that recorded no span tree of
+/// its own (ping, stats, a cache hit, …) dumps one span named after the
+/// op and lasting its `elapsed_us`, so every capture is a well-formed,
+/// non-empty Chrome trace of the request's own time.
 fn dump_slow_trace(
     state: &ServiceState,
     trace_id: &str,
@@ -488,10 +489,11 @@ fn dump_slow_trace(
     let trace_json = match spans {
         Some(spans) if !spans.is_empty() => chrome_trace_of(spans),
         _ => {
-            let tracer = Tracer::zeroed();
-            let id = tracer.begin(op, None);
-            tracer.end(id);
-            chrome_trace_of(&tracer.spans())
+            let tracer = Tracer::wall();
+            tracer.end(tracer.begin(op, None));
+            let mut spans = tracer.spans();
+            spans[0].dur_us = Some(elapsed_us);
+            chrome_trace_of(&spans)
         }
     };
     let path = state
@@ -509,11 +511,8 @@ fn dump_slow_trace(
     }
 }
 
-/// Parses and executes one request line. Returns the response frame,
-/// the op name used for metrics labels and log lines, and the request's
-/// span tree when one was recorded (fed to slow-request capture).
-/// The options of one solver-bearing request: always traced against a
-/// zeroed clock (the span tree goes into the cache entry and the
+/// The options of one solver-bearing request: always traced on the
+/// wall clock (the span tree goes into the cache entry and the
 /// slow-request dump), heartbeating into the request's live progress.
 fn request_options(tracer: &Arc<Tracer>, progress: &Arc<RequestProgress>) -> CheckOptions {
     CheckOptions {
@@ -523,6 +522,10 @@ fn request_options(tracer: &Arc<Tracer>, progress: &Arc<RequestProgress>) -> Che
     }
 }
 
+/// Parses and executes one request line. Returns the response frame,
+/// the op name used for metrics labels and log lines, and the span tree
+/// the request recorded, if any (fed to slow-request capture). A cache
+/// hit records none: the cached spans timed the fresh run.
 fn respond(
     state: &ServiceState,
     line: &str,
@@ -565,10 +568,10 @@ fn respond(
                     let (check, cached) = match state.cache.get_tree(key) {
                         Some(hit) => (hit, true),
                         None => {
-                            // Always traced against a zeroed clock: the
-                            // span tree goes into the cached entry so a
-                            // later `report: true` hit replays it.
-                            let tracer = Arc::new(Tracer::zeroed());
+                            // Always traced: the span tree goes into the
+                            // cached entry so a later `report: true` hit
+                            // replays it.
+                            let tracer = Arc::new(Tracer::wall());
                             let (outcome, _) =
                                 check_tree_with(&tree, &request_options(&tracer, &progress));
                             state.add_work(&outcome.solver, &outcome.session);
@@ -595,7 +598,7 @@ fn respond(
                         )
                     });
                     let frame = check_frame(&check.report, cached, doc);
-                    (frame, Some(check.spans))
+                    (frame, (!cached).then_some(check.spans))
                 }
             };
             (frame, "check", spans)
@@ -631,7 +634,7 @@ fn respond(
                     // per rule family over the whole product line, the
                     // verdict content-addressed in the family cache.
                     progress.set_phase("family");
-                    let tracer = Arc::new(Tracer::zeroed());
+                    let tracer = Arc::new(Tracer::wall());
                     let mode = llhsc::family::CheckMode::Family;
                     let key = llhsc::family::family_key(&input, mode, false);
                     let frame = match state.cache.get(llhsc::CacheClass::Family, key) {
@@ -671,14 +674,14 @@ fn respond(
                 }
                 Ok(input) => {
                     progress.set_phase("pipeline");
-                    let tracer = Arc::new(Tracer::zeroed());
+                    let tracer = Arc::new(Tracer::wall());
                     let pipeline = Pipeline {
                         options: request_options(&tracer, &progress),
                     };
                     let frame = match pipeline.run_cached(&input, Some(&state.cache)) {
                         Ok(out) => {
                             state.add_work(&out.solver_stats, &out.session_stats);
-                            build_ok_frame(&out)
+                            build_ok_frame(&out, &tracer)
                         }
                         Err(e) => build_rejected_frame(&e),
                     };
@@ -705,10 +708,9 @@ fn serve_analytics(
     if let Some(hit) = state.cache.get_analytics(key) {
         return (analytics_frame(op, &hit, true), None);
     }
-    // Traced against a zeroed clock: the count/sample machinery records
-    // one span per XOR-hash cell, annotated with `xor_constraints` and
-    // `cells` counters.
-    let tracer = Arc::new(Tracer::zeroed());
+    // The count/sample machinery records one span per XOR-hash cell,
+    // annotated with `xor_constraints` and `cells` counters.
+    let tracer = Arc::new(Tracer::wall());
     let ctx = TraceCtx::new(Arc::clone(&tracer));
     match compute(&ctx) {
         Err(e) => (error_frame(e), None),
@@ -985,7 +987,7 @@ mod tests {
 
         // The daemon's report document is byte-identical to the local
         // builder's.
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let (local, _) = check_tree_with(
             &llhsc_dts::parse(dts).unwrap(),
             &CheckOptions {
@@ -1137,7 +1139,8 @@ mod tests {
         .expect("server starts");
         let addr = handle.local_addr().to_string();
         let dts = "/ { #address-cells = <1>; #size-cells = <1>;\n\
-                   \x20   memory@1000 { device_type = \"memory\"; reg = <0x1000 0x1000>; }; };";
+                   \x20   memory@1000 { device_type = \"memory\"; reg = <0x1000 0x1000>; };\n\
+                   \x20   uart@2000 { reg = <0x2000 0x1000>; }; };";
         let check_req = Json::obj([("op", "check".into()), ("dts", dts.into())]);
 
         let first = client::request(&addr, &check_req).unwrap();
@@ -1155,15 +1158,25 @@ mod tests {
         assert_ne!(tid1, tid2);
 
         // Exactly one dump per offending request, named by its trace
-        // ID; both the fresh check and the cache hit carry the span
-        // tree (the hit replays the cached spans).
-        for tid in [&tid1, &tid2] {
+        // ID and timing that request: the fresh check dumps its span
+        // tree, the cache hit one span (checked against the flight ring
+        // below).
+        let dumped = |tid: &str| -> Vec<(String, i64)> {
             let path = dir.join(format!("llhsc-slow-{tid}.trace.json"));
-            let dump = std::fs::read_to_string(&path).expect("dump written");
-            let parsed = Json::parse(&dump).expect("dump is valid JSON");
-            assert!(matches!(parsed, Json::Arr(_)), "Chrome trace is an array");
-            assert!(dump.contains("\"name\":\"check\""), "{dump}");
-        }
+            let dump = std::fs::read_to_string(path).expect("dump written");
+            let dump = Json::parse(&dump).expect("dump is valid JSON");
+            let spans = dump.as_arr().expect("Chrome trace is an array").iter();
+            spans
+                .map(|s| (s.get("name").and_then(Json::as_str).unwrap().to_string(), s))
+                .map(|(name, s)| (name, s.get("dur").and_then(Json::as_int).unwrap()))
+                .collect()
+        };
+        let fresh = dumped(&tid1);
+        assert!(
+            fresh.iter().any(|(n, dur)| n == "check" && *dur > 0),
+            "{fresh:?}"
+        );
+        assert!(fresh.iter().any(|(n, _)| n == "solve"), "{fresh:?}");
         assert_eq!(
             std::fs::read_dir(&dir).unwrap().count(),
             2,
@@ -1196,6 +1209,12 @@ mod tests {
                 "flight ring misses {tid}: {records:?}"
             );
         }
+        let hit = records
+            .iter()
+            .find(|r| r.get("trace_id").and_then(Json::as_str) == Some(tid2.as_str()))
+            .and_then(|r| r.get("dur_us")?.as_int())
+            .expect("the hit's latency");
+        assert_eq!(dumped(&tid2), [("check".to_string(), hit)]);
 
         handle.shutdown();
         handle.join();

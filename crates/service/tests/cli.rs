@@ -2,10 +2,12 @@
 
 mod common;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::Duration;
 
 use common::Scratch;
+use llhsc_service::Json;
 
 fn llhsc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_llhsc"))
@@ -439,6 +441,69 @@ fn one_vm_project(scratch: &Scratch, name: &str, board: &str) -> PathBuf {
     .unwrap();
     std::fs::write(dir.join("vms.cfg"), "vm1: memory, cpu@0\n").unwrap();
     dir
+}
+
+/// The `dur` of the one span named `name` in the Chrome trace at `path`.
+fn span_dur(path: &Path, name: &str) -> u64 {
+    let trace = Json::parse(&std::fs::read_to_string(path).expect("trace file")).unwrap();
+    let durs: Vec<i64> = trace
+        .as_arr()
+        .expect("Chrome trace is an array")
+        .iter()
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some(name))
+        .filter_map(|s| s.get("dur")?.as_int())
+        .collect();
+    assert_eq!(durs.len(), 1, "one {name} span in {}", path.display());
+    u64::try_from(durs[0]).unwrap()
+}
+
+/// The value `--stats` prints after `label` on its own line.
+fn stats_row<'a>(stdout: &'a str, label: &str) -> &'a str {
+    stdout
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix(label))
+        .unwrap_or_else(|| panic!("no {label:?} row in:\n{stdout}"))
+        .trim()
+}
+
+#[test]
+fn stats_print_the_span_durations_of_the_trace() {
+    let scratch = Scratch::new();
+    let project = one_vm_project(&scratch, "p", VALID);
+    let trace = scratch.join("build.trace.json");
+    let out = llhsc(&[
+        "build",
+        "--stats",
+        "--trace",
+        trace.to_str().unwrap(),
+        project.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut total = Duration::ZERO;
+    for stage in llhsc::STAGE_SPANS {
+        let took = Duration::from_micros(span_dur(&trace, stage));
+        total += took;
+        assert_eq!(stats_row(&stdout, stage), format!("{took:.1?}"), "{stage}");
+    }
+    assert_eq!(stats_row(&stdout, "total"), format!("{total:.1?}"));
+
+    let trace = scratch.join("check.trace.json");
+    let board = scratch.write("board.dts", VALID);
+    let out = llhsc(&[
+        "check",
+        "--stats",
+        "--trace",
+        trace.to_str().unwrap(),
+        board.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let semantic = Duration::from_micros(span_dur(&trace, "semantic"));
+    assert_eq!(
+        stats_row(&stdout, "semantic check time:"),
+        format!("{semantic:.1?}")
+    );
 }
 
 #[test]

@@ -48,16 +48,6 @@ impl CertStats {
     }
 }
 
-/// A snapshot of a context's cost counters: how many terms were built
-/// and how much work the underlying SAT solver performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ContextStats {
-    /// Distinct terms created (hash-consed).
-    pub terms: usize,
-    /// Counters of the underlying SAT solver.
-    pub solver: SolverStats,
-}
-
 /// An incremental SMT context: build terms, assert them, check, inspect
 /// models — mirroring how the paper drives Z3 ("constraints can be added
 /// incrementally to the same solver instance", §VI).
@@ -75,9 +65,6 @@ pub struct Context {
     blaster: Blaster,
     /// Activation literal per open scope.
     scopes: Vec<Lit>,
-    /// Terms asserted per scope depth (index 0 = ground level), kept for
-    /// diagnostics.
-    asserted: Vec<Vec<TermId>>,
     /// Model snapshot from the last Sat check.
     last_model: Option<Vec<bool>>,
     /// Maps assumption literals of the last `check_assuming` back to terms.
@@ -139,7 +126,6 @@ impl Context {
             solver,
             blaster: Blaster::new(),
             scopes: Vec::new(),
-            asserted: vec![Vec::new()],
             last_model: None,
             assumption_lits: HashMap::new(),
             last_core: Vec::new(),
@@ -269,15 +255,6 @@ impl Context {
     pub fn solver_stats(&self) -> SolverStats {
         self.flush_trace();
         self.solver.stats()
-    }
-
-    /// Term-pool and SAT-solver counters in one snapshot, for
-    /// instrumentation of callers that want to report both.
-    pub fn stats(&self) -> ContextStats {
-        ContextStats {
-            terms: self.num_terms(),
-            solver: self.solver_stats(),
-        }
     }
 
     /// Renders a term as an SMT-LIB-flavoured s-expression.
@@ -710,10 +687,6 @@ impl Context {
                 self.solver.add_clause([!act, lit]);
             }
         }
-        self.asserted
-            .last_mut()
-            .expect("ground scope always present")
-            .push(t);
     }
 
     /// Asserts `guard → t` at the ground level as a single two-literal
@@ -770,7 +743,6 @@ impl Context {
     pub fn push(&mut self) {
         let act = Lit::pos(self.solver.new_var());
         self.scopes.push(act);
-        self.asserted.push(Vec::new());
     }
 
     /// Closes the innermost scope, retracting its assertions.
@@ -782,18 +754,12 @@ impl Context {
         let act = self.scopes.pop().expect("pop without matching push");
         // Permanently disable the scope's clauses.
         self.solver.add_clause([!act]);
-        self.asserted.pop();
         self.last_model = None;
     }
 
     /// Current scope depth (0 = ground).
     pub fn scope_depth(&self) -> usize {
         self.scopes.len()
-    }
-
-    /// Terms asserted in the current scope, for diagnostics.
-    pub fn current_assertions(&self) -> &[TermId] {
-        self.asserted.last().expect("ground scope always present")
     }
 
     /// Checks satisfiability of all live assertions.
@@ -1187,7 +1153,7 @@ mod tests {
         use llhsc_obs::{TraceCtx, Tracer};
         use std::sync::Arc;
 
-        let tracer = Arc::new(Tracer::zeroed());
+        let tracer = Arc::new(Tracer::wall());
         let mut ctx = Context::new();
         ctx.set_trace(TraceCtx::new(Arc::clone(&tracer)));
         let a = ctx.bool_var("a");

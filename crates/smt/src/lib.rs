@@ -46,7 +46,7 @@ mod options;
 mod session;
 mod term;
 
-pub use context::{CertStats, CheckResult, Context, ContextStats, Model};
+pub use context::{CertStats, CheckResult, Context, Model};
 pub use llhsc_sat::{
     check_drat, parse_dimacs, parse_drat, write_dimacs, write_drat, AllocStats, CheckMode, Cnf,
     DratError, DratOutcome, ProofStep, SolverConfig, SolverStats,
