@@ -67,5 +67,7 @@ pub use llhsc_sat::{
 pub use llhsc_smt::{CertStats, CheckOptions, SessionStats, SolverConfig, SolverSession};
 pub use pipeline::{Pipeline, PipelineError, PipelineInput, PipelineOutput, VmSpec, STAGE_SPANS};
 pub use report::{dedup_diagnostics, Diagnostic, Severity, Stage};
-pub use semantic::{Collision, RegionCheckStats, RegionRef, SemanticChecker, SemanticReport};
+pub use semantic::{
+    Collision, DevicePath, RegionCheckStats, RegionRef, SemanticChecker, SemanticReport,
+};
 pub use tree_check::{ProofBundle, TreeCheck, TreeChecker};

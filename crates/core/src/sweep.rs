@@ -80,7 +80,7 @@ mod tests {
 
     fn region(address: u128, size: u128) -> RegionRef {
         RegionRef {
-            path: format!("/dev@{address:x}"),
+            path: format!("/dev@{address:x}").into(),
             index: 0,
             region: RegEntry { address, size },
             virtual_device: false,
@@ -198,7 +198,7 @@ mod tests {
         let refs: Vec<RegionRef> = (0..64)
             .map(|i| {
                 let mut r = region(u128::from(next() % 0x4000), u128::from(next() % 0x800));
-                r.path = format!("/soup@{i}");
+                r.path = format!("/soup@{i}").into();
                 r.virtual_device = next() % 4 == 0;
                 r
             })

@@ -4,7 +4,7 @@
 
 mod support;
 
-use llhsc::{RegionRef, SemanticChecker};
+use llhsc::{DevicePath, RegionRef, SemanticChecker};
 use llhsc_dts::cells::{collect_regions, RegEntry};
 use llhsc_dts::{DeviceTree, DtsError, Node, Property};
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ fn arb_regions(max: usize) -> impl Strategy<Value = Vec<RegionRef>> {
             .into_iter()
             .enumerate()
             .map(|(i, (base, size, virt))| RegionRef {
-                path: format!("/dev{i}"),
+                path: format!("/dev{i}").into(),
                 index: 0,
                 region: RegEntry::new(u128::from(base), u128::from(size)),
                 virtual_device: virt,
@@ -48,7 +48,7 @@ fn arb_extreme_regions(max: usize) -> impl Strategy<Value = Vec<RegionRef>> {
             .into_iter()
             .enumerate()
             .map(|(i, (base, size, virt))| RegionRef {
-                path: format!("/dev{i}"),
+                path: format!("/dev{i}").into(),
                 index: 0,
                 region: RegEntry::new(base, u128::from(size)),
                 virtual_device: virt,
@@ -63,7 +63,7 @@ fn naive_overlaps(a: &RegionRef, b: &RegionRef) -> bool {
 
 /// Collision identity without the witness (the two paths may pick
 /// different — equally valid — witness addresses).
-fn collision_keys(cs: &[llhsc::Collision]) -> Vec<(String, usize, String, usize)> {
+fn collision_keys(cs: &[llhsc::Collision]) -> Vec<(DevicePath, usize, DevicePath, usize)> {
     cs.iter()
         .map(|c| (c.a.path.clone(), c.a.index, c.b.path.clone(), c.b.index))
         .collect()
@@ -355,7 +355,7 @@ proptest! {
                 }
             }
         }
-        let mut got: Vec<(String, String)> = collisions
+        let mut got: Vec<(DevicePath, DevicePath)> = collisions
             .iter()
             .map(|c| (c.a.path.clone(), c.b.path.clone()))
             .collect();
@@ -477,7 +477,12 @@ proptest! {
         for (i, a) in placed.iter().enumerate() {
             for b in &placed[i + 1..] {
                 if a.cpu.overlaps(&b.cpu) {
-                    expected.push((a.path.clone(), a.index, b.path.clone(), b.index));
+                    expected.push((
+                        a.path.as_str().into(),
+                        a.index,
+                        b.path.as_str().into(),
+                        b.index,
+                    ));
                 }
             }
         }
@@ -494,7 +499,11 @@ proptest! {
         if let Some(p) = placed.iter().find(|p| p.bus.is_some() && p.cpu.size != 0) {
             let mut moved = tree.clone();
             let node = moved.find_mut(&p.path).expect("placed device exists");
-            let mut reg = node.prop("reg").and_then(|r| r.flat_cells()).expect("literal reg");
+            let mut reg: Vec<u32> = node
+                .prop("reg")
+                .and_then(|r| r.flat_cells())
+                .expect("literal reg")
+                .collect();
             let (ac, sc) = p.cells;
             let at = p.index * (ac + sc) as usize;
             for (cell, v) in reg[at..at + ac as usize].iter_mut().zip(to_cells(0x8000_0000, ac)) {

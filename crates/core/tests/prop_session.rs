@@ -4,7 +4,7 @@
 //! must be observationally identical to solving each query in a fresh
 //! context.
 
-use llhsc::{RegionRef, SemanticChecker};
+use llhsc::{DevicePath, RegionRef, SemanticChecker};
 use llhsc_dts::cells::RegEntry;
 use llhsc_smt::{slice_key, CheckResult, Context, SolverSession};
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ fn arb_board(max: usize) -> impl Strategy<Value = Vec<RegionRef>> {
             .into_iter()
             .enumerate()
             .map(|(i, (base, size, virt))| RegionRef {
-                path: format!("/dev{i}"),
+                path: format!("/dev{i}").into(),
                 index: 0,
                 region: RegEntry::new(u128::from(base), u128::from(size)),
                 virtual_device: virt,
@@ -26,7 +26,7 @@ fn arb_board(max: usize) -> impl Strategy<Value = Vec<RegionRef>> {
 
 /// Full collision identity, witnesses included: the session path must
 /// reproduce the fresh path bit for bit, not just pair for pair.
-fn keys(cs: &[llhsc::Collision]) -> Vec<(String, String, u128)> {
+fn keys(cs: &[llhsc::Collision]) -> Vec<(DevicePath, DevicePath, u128)> {
     cs.iter()
         .map(|c| (c.a.path.clone(), c.b.path.clone(), c.witness))
         .collect()

@@ -3,13 +3,13 @@
 
 mod support;
 
-use llhsc::{RegionRef, SemanticChecker};
+use llhsc::{DevicePath, RegionRef, SemanticChecker};
 use llhsc_dts::cells::RegEntry;
 
 fn board(n: u128) -> Vec<RegionRef> {
     (0..n)
         .map(|i| RegionRef {
-            path: format!("/soc/dev@{i}"),
+            path: format!("/soc/dev@{i}").into(),
             index: 0,
             region: RegEntry::new(0x1000_0000 + i * 0x1_0000, 0x1000),
             virtual_device: false,
@@ -57,7 +57,7 @@ fn prefiltered_collisions_match_exhaustive_at_scale() {
     refs[63].region = RegEntry::new(refs[0].region.address, 0x80000);
     let pre = SemanticChecker::new().check_regions_with_stats(&refs).0;
     let ex = support::check_regions_exhaustive(&refs);
-    let key = |cs: &[llhsc::Collision]| -> Vec<(String, usize, String, usize)> {
+    let key = |cs: &[llhsc::Collision]| -> Vec<(DevicePath, usize, DevicePath, usize)> {
         cs.iter()
             .map(|c| (c.a.path.clone(), c.a.index, c.b.path.clone(), c.b.index))
             .collect()

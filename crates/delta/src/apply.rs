@@ -341,7 +341,11 @@ mod tests {
         // d4: memory reg rewritten to 32-bit layout.
         let mem = p.tree.find("/memory@40000000").unwrap();
         assert_eq!(
-            mem.prop("reg").unwrap().flat_cells().unwrap(),
+            mem.prop("reg")
+                .unwrap()
+                .flat_cells()
+                .unwrap()
+                .collect::<Vec<_>>(),
             vec![0x4000_0000, 0x2000_0000, 0x6000_0000, 0x2000_0000]
         );
         // d1: veth0 added under vEthernet.

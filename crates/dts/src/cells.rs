@@ -70,7 +70,22 @@ impl RegEntry {
 }
 
 /// A `reg`-bearing device with its regions at the addresses the CPU
-/// sees, as discovered by [`collect_regions`].
+/// sees, as [`for_each_device`] meets it. It borrows the walk's path and
+/// region buffers, which serve every device in turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Device<'t, 'w> {
+    /// Path of the node that carried `reg`.
+    pub path: &'w str,
+    /// The node that carried `reg`.
+    pub node: &'t Node,
+    /// Decoded regions, each non-empty one at its CPU address.
+    pub regions: &'w [RegEntry],
+    /// The `#address-cells`/`#size-cells` pair used to decode.
+    pub cells: (u32, u32),
+}
+
+/// A [`Device`] that owns its path and regions, as [`collect_regions`]
+/// lists them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceRegions<'a> {
     /// Path of the node that carried `reg`.
@@ -111,12 +126,11 @@ fn check_cells(path: &str, cells: (u32, u32)) -> Result<(u32, u32), DtsError> {
     Ok(cells)
 }
 
-fn take_cells(cells: &[u32], n: u32) -> u128 {
-    let mut v: u128 = 0;
-    for &c in &cells[..n as usize] {
-        v = (v << 32) | u128::from(c);
-    }
-    v
+/// The next `n` cells, most significant first, as one number.
+fn take_cells(cells: &mut impl Iterator<Item = u32>, n: u32) -> u128 {
+    cells
+        .take(n as usize)
+        .fold(0, |v, c| (v << 32) | u128::from(c))
 }
 
 /// Decodes a node's `reg` property under the given cell counts, at the
@@ -135,11 +149,23 @@ pub fn decode_reg(
     address_cells: u32,
     size_cells: u32,
 ) -> Result<Vec<RegEntry>, DtsError> {
-    check_cells(path, (address_cells, size_cells))?;
+    let mut out = Vec::new();
+    decode_reg_into(path, node, (address_cells, size_cells), &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_reg`], appending the entries to `out`.
+fn decode_reg_into(
+    path: &str,
+    node: &Node,
+    cells: (u32, u32),
+    out: &mut Vec<RegEntry>,
+) -> Result<(), DtsError> {
+    let (address_cells, size_cells) = check_cells(path, cells)?;
     let Some(prop) = node.prop("reg") else {
-        return Ok(Vec::new());
+        return Ok(());
     };
-    let flat = prop.flat_cells().ok_or_else(|| DtsError::BadValue {
+    let mut flat = prop.flat_cells().ok_or_else(|| DtsError::BadValue {
         path: path.to_string(),
         message: "reg must be a cell array of literals".into(),
     })?;
@@ -159,17 +185,13 @@ pub fn decode_reg(
             ),
         });
     }
-    let mut out = Vec::with_capacity(flat.len() / stride);
-    for chunk in flat.chunks(stride) {
-        let address = take_cells(chunk, address_cells);
-        let size = if size_cells == 0 {
-            0
-        } else {
-            take_cells(&chunk[address_cells as usize..], size_cells)
-        };
+    out.reserve(flat.len() / stride);
+    while flat.len() > 0 {
+        let address = take_cells(&mut flat, address_cells);
+        let size = take_cells(&mut flat, size_cells);
         out.push(RegEntry { address, size });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Walks the whole tree, decodes every `reg` property under its
@@ -193,28 +215,55 @@ pub fn decode_reg(
 /// has no CPU address: [`DtsError::BadValue`] names the device, the
 /// region (at the addresses of that bus's children) and the bus.
 pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions<'_>>, DtsError> {
-    let mut walk = Walk {
-        path: String::new(),
-        buses: Vec::new(),
-        out: Vec::new(),
-    };
-    walk.visit(&tree.root, (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS))?;
-    Ok(walk.out)
+    let mut out = Vec::new();
+    for_each_device(tree, |d| {
+        out.push(DeviceRegions {
+            path: d.path.to_string(),
+            node: d.node,
+            regions: d.regions.to_vec(),
+            cells: d.cells,
+        });
+    })?;
+    Ok(out)
 }
 
-/// The depth-first walk of [`collect_regions`].
-struct Walk<'a> {
+/// The walk of [`collect_regions`], handing each `reg`-bearing device to
+/// `visit` in depth-first order instead of listing it. A device costs no
+/// allocation of its own: its path and regions borrow buffers that the
+/// walk reuses.
+///
+/// # Errors
+///
+/// As [`collect_regions`]; devices met before the error have been
+/// visited.
+pub fn for_each_device<'t>(
+    tree: &'t DeviceTree,
+    visit: impl FnMut(Device<'t, '_>),
+) -> Result<(), DtsError> {
+    Walk {
+        path: String::new(),
+        buses: Vec::new(),
+        regions: Vec::new(),
+        visit,
+    }
+    .visit(&tree.root, (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS))
+}
+
+/// The depth-first walk of [`for_each_device`].
+struct Walk<F> {
     /// The visited node's path, extended on the way in and cut back on
     /// the way out; empty at the root.
     path: String,
     /// Every translating ancestor bus, outermost first: its path and
     /// its windows.
     buses: Vec<(String, Vec<RangeEntry>)>,
-    out: Vec<DeviceRegions<'a>>,
+    /// The visited device's regions.
+    regions: Vec<RegEntry>,
+    visit: F,
 }
 
-impl<'a> Walk<'a> {
-    fn visit(&mut self, node: &'a Node, parent_cells: (u32, u32)) -> Result<(), DtsError> {
+impl<'t, F: FnMut(Device<'t, '_>)> Walk<F> {
+    fn visit(&mut self, node: &'t Node, parent_cells: (u32, u32)) -> Result<(), DtsError> {
         // An unnamed node is the root wherever it sits: it starts from
         // an empty path, gives its parent's back afterwards, and its
         // `ranges` is ignored.
@@ -230,7 +279,9 @@ impl<'a> Walk<'a> {
             &self.path
         };
         if node.prop("reg").is_some() {
-            let mut regions = decode_reg(here, node, parent_cells.0, parent_cells.1)?;
+            let regions = &mut self.regions;
+            regions.clear();
+            decode_reg_into(here, node, parent_cells, regions)?;
             // Empty regions take up no address space: they stay as
             // written.
             for r in regions.iter_mut().filter(|r| r.size != 0) {
@@ -245,8 +296,8 @@ impl<'a> Walk<'a> {
                     })?;
                 }
             }
-            self.out.push(DeviceRegions {
-                path: here.to_string(),
+            (self.visit)(Device {
+                path: here,
                 node,
                 regions,
                 cells: parent_cells,
@@ -298,10 +349,10 @@ fn decode_ranges(
     let Some(prop) = node.prop("ranges") else {
         return Ok(Vec::new());
     };
-    if prop.values.is_empty() {
+    if prop.values().len() == 0 {
         return Ok(Vec::new());
     }
-    let flat = prop.flat_cells().ok_or_else(|| DtsError::BadValue {
+    let mut flat = prop.flat_cells().ok_or_else(|| DtsError::BadValue {
         path: path.to_string(),
         message: "ranges must be a cell array of literals".into(),
     })?;
@@ -317,17 +368,15 @@ fn decode_ranges(
             ),
         });
     }
-    Ok(flat
-        .chunks(stride)
-        .map(|chunk| RangeEntry {
-            child_base: take_cells(chunk, child_ac),
-            parent_base: take_cells(&chunk[child_ac as usize..], parent_address_cells),
-            size: take_cells(
-                &chunk[(child_ac + parent_address_cells) as usize..],
-                child_sc,
-            ),
-        })
-        .collect())
+    let mut windows = Vec::with_capacity(flat.len() / stride);
+    while flat.len() > 0 {
+        windows.push(RangeEntry {
+            child_base: take_cells(&mut flat, child_ac),
+            parent_base: take_cells(&mut flat, parent_address_cells),
+            size: take_cells(&mut flat, child_sc),
+        });
+    }
+    Ok(windows)
 }
 
 /// The parent-bus address of `region`, mapped by the window that holds
@@ -879,8 +928,8 @@ mod tests {
 
     #[test]
     fn take_cells_concatenates_big_endian() {
-        assert_eq!(take_cells(&[0x1, 0x2], 2), 0x1_0000_0002);
-        assert_eq!(take_cells(&[0xdead_beef], 1), 0xdead_beef);
+        assert_eq!(take_cells(&mut [0x1, 0x2].into_iter(), 2), 0x1_0000_0002);
+        assert_eq!(take_cells(&mut [0xdead_beef].into_iter(), 1), 0xdead_beef);
     }
 
     #[test]

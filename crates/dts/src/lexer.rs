@@ -6,14 +6,16 @@ use crate::error::{DtsError, Position};
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Token {
-    pub(crate) kind: TokenKind,
+pub(crate) struct Token<'a> {
+    pub(crate) kind: TokenKind<'a>,
     pub(crate) at: Position,
 }
 
-/// Token kinds of the DTS grammar subset used by the paper.
+/// Token kinds of the DTS grammar subset used by the paper. The text a
+/// token carries borrows the main file's source; a token of an
+/// `/include/`d file, or a string with escapes, owns its text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TokenKind {
+pub(crate) enum TokenKind<'a> {
     /// `/dts-v1/` version tag.
     DtsV1,
     /// `/include/` directive keyword.
@@ -26,19 +28,19 @@ pub(crate) enum TokenKind {
     MemReserve,
     /// A name: node names (possibly with `@unit`), property names
     /// (possibly with `#`, `-`, `,`, `.`), label names.
-    Ident(String),
+    Ident(Cow<'a, str>),
     /// `&label` reference.
-    Ref(String),
+    Ref(Cow<'a, str>),
     /// A quoted string literal (unescaped contents).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An integer literal inside a cell list.
     Num(u64),
     /// A bare run of hex digits inside `[ … ]`, kept verbatim so the
     /// parser sees the full lexeme width (`[ 0011 ]` is two bytes, not
     /// the number 0x11).
-    HexRun(String),
+    HexRun(Cow<'a, str>),
     /// `label:` — the ident plus the colon.
-    Label(String),
+    Label(Cow<'a, str>),
     LBrace,
     RBrace,
     Lt,
@@ -53,7 +55,7 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::DtsV1 => "'/dts-v1/'".into(),
@@ -115,7 +117,7 @@ fn is_int_suffix(s: &[u8]) -> bool {
 /// that starts like a hex literal but is not one, an octal literal with
 /// an `8` or `9`, and a value past 64 bits are malformed numbers. Any
 /// other run that is not digits plus a suffix is a name.
-fn word(text: &str, at: Position) -> Result<TokenKind, DtsError> {
+fn word(text: Cow<'_, str>, at: Position) -> Result<TokenKind<'_>, DtsError> {
     let b = text.as_bytes();
     let (radix, digits, suffix) = if let [b'0', b'x' | b'X', rest @ ..] = b {
         let n = rest.iter().take_while(|c| c.is_ascii_hexdigit()).count();
@@ -123,7 +125,7 @@ fn word(text: &str, at: Position) -> Result<TokenKind, DtsError> {
     } else {
         let n = b.iter().take_while(|c| c.is_ascii_digit()).count();
         if n == 0 || !is_int_suffix(&b[n..]) {
-            return Ok(TokenKind::Ident(text.to_owned()));
+            return Ok(TokenKind::Ident(text));
         }
         if n > 1 && b[0] == b'0' {
             (8, &b[1..n], &b[n..])
@@ -143,7 +145,7 @@ fn word(text: &str, at: Position) -> Result<TokenKind, DtsError> {
         .map(TokenKind::Num)
         .ok_or_else(|| DtsError::BadNumber {
             at,
-            text: text.to_owned(),
+            text: text.into_owned(),
         })
 }
 
@@ -155,6 +157,15 @@ impl<'a> Lexer<'a> {
             line: 1,
             line_start: 0,
             hex_mode: false,
+        }
+    }
+
+    /// The source text in `range`: a slice of the main file's text, or a
+    /// copy of an included file's.
+    fn text(&self, range: std::ops::Range<usize>) -> Cow<'a, str> {
+        match &self.src {
+            Cow::Borrowed(src) => Cow::Borrowed(src.get(range).unwrap_or_default()),
+            Cow::Owned(src) => Cow::Owned(src.get(range).unwrap_or_default().to_owned()),
         }
     }
 
@@ -204,13 +215,14 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Lexes a string literal; an escape-free one is one slice copy.
-    fn lex_string(&mut self) -> Result<TokenKind, DtsError> {
+    /// Lexes a string literal; an escape-free one is the source text.
+    fn lex_string(&mut self) -> Result<TokenKind<'a>, DtsError> {
         let at = self.here();
         let unterminated = DtsError::Unterminated { at, what: "string" };
         let src: &str = &self.src;
-        let mut pos = self.pos + 1; // past the opening quote
-        let mut out = String::new();
+        let start = self.pos + 1; // past the opening quote
+        let mut pos = start;
+        let mut out: Option<String> = None;
         // Start of the text not yet copied to `out`. Every stop below is
         // at an ASCII byte, so each slice falls on character boundaries.
         let mut run = pos;
@@ -218,9 +230,14 @@ impl<'a> Lexer<'a> {
             match src.as_bytes().get(pos) {
                 None => return Err(unterminated),
                 Some(b'"') => {
-                    out.push_str(&src[run..pos]);
                     self.pos = pos + 1;
-                    return Ok(TokenKind::Str(out));
+                    return Ok(TokenKind::Str(match out {
+                        Some(mut out) => {
+                            out.push_str(&src[run..pos]);
+                            Cow::Owned(out)
+                        }
+                        None => self.text(start..pos),
+                    }));
                 }
                 Some(b'\n') => {
                     pos += 1;
@@ -228,6 +245,7 @@ impl<'a> Lexer<'a> {
                     self.line_start = pos;
                 }
                 Some(b'\\') => {
+                    let out = out.get_or_insert_with(String::new);
                     out.push_str(&src[run..pos]);
                     pos += 1;
                     let Some(c) = src[pos..].chars().next() else {
@@ -261,32 +279,32 @@ impl<'a> Lexer<'a> {
             .map_or(src.len(), |n| self.pos + n)
     }
 
-    fn lex_number_or_name(&mut self) -> Result<TokenKind, DtsError> {
+    fn lex_number_or_name(&mut self) -> Result<TokenKind<'a>, DtsError> {
         let at = self.here();
         let start = self.pos;
         self.pos = self.name_end();
         // Name characters are ASCII, so the run is a `str` slice.
-        let text = &self.src[start..self.pos];
+        let text = self.text(start..self.pos);
         // Inside byte strings every bare token is a raw hex-digit run;
         // keep the lexeme verbatim so leading zero bytes survive.
         if self.hex_mode {
             if text.bytes().all(|c| c.is_ascii_hexdigit()) {
-                return Ok(TokenKind::HexRun(text.to_owned()));
+                return Ok(TokenKind::HexRun(text));
             }
             return Err(DtsError::BadNumber {
                 at,
-                text: text.to_owned(),
+                text: text.into_owned(),
             });
         }
         // A label is a plain identifier immediately followed by ':'.
         if self.src.as_bytes().get(self.pos) == Some(&b':') && !text.contains('@') {
             self.pos += 1;
-            return Ok(TokenKind::Label(text.to_owned()));
+            return Ok(TokenKind::Label(text));
         }
         word(text, at)
     }
 
-    pub(crate) fn next_token(&mut self) -> Result<Token, DtsError> {
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>, DtsError> {
         self.skip_trivia()?;
         let at = self.here();
         let Some(&c) = self.src.as_bytes().get(self.pos) else {
@@ -319,7 +337,7 @@ impl<'a> Lexer<'a> {
                 if self.pos == start {
                     return Err(DtsError::Lex { at, found: '&' });
                 }
-                TokenKind::Ref(self.src[start..self.pos].to_owned())
+                TokenKind::Ref(self.text(start..self.pos))
             }
             b'/' => self.lex_slash(),
             c if is_name_char(c) => self.lex_number_or_name()?,
@@ -334,14 +352,14 @@ impl<'a> Lexer<'a> {
     }
 
     /// Steps over a one-byte token.
-    fn single(&mut self, kind: TokenKind) -> TokenKind {
+    fn single(&mut self, kind: TokenKind<'a>) -> TokenKind<'a> {
         self.pos += 1;
         kind
     }
 
     /// Either a directive `/word/` or the bare root name `/`.
-    fn lex_slash(&mut self) -> TokenKind {
-        const DIRECTIVES: [(&[u8], TokenKind); 5] = [
+    fn lex_slash(&mut self) -> TokenKind<'a> {
+        const DIRECTIVES: [(&[u8], TokenKind<'static>); 5] = [
             (b"/dts-v1/", TokenKind::DtsV1),
             (b"/include/", TokenKind::Include),
             (b"/delete-node/", TokenKind::DeleteNode),
@@ -365,7 +383,7 @@ mod tests {
     use super::*;
 
     /// Every token of `src` up to and including `Eof`, or the first error.
-    fn lex(src: &str) -> Result<Vec<Token>, DtsError> {
+    fn lex(src: &str) -> Result<Vec<Token<'_>>, DtsError> {
         let mut lexer = Lexer::new(src);
         let mut out = Vec::new();
         loop {
@@ -378,7 +396,7 @@ mod tests {
         }
     }
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -414,7 +432,7 @@ mod tests {
     }
 
     /// The one token of `src`, or its lexical error.
-    fn one(src: &str) -> Result<TokenKind, DtsError> {
+    fn one(src: &str) -> Result<TokenKind<'_>, DtsError> {
         Lexer::new(src).next_token().map(|t| t.kind)
     }
 

@@ -7,7 +7,8 @@ use std::collections::HashMap;
 
 use crate::error::DtsError;
 use crate::lexer::{Lexer, Token, TokenKind};
-use crate::tree::{Cell, DeviceTree, Node, PropValue, Property, SiblingIndex};
+use crate::property::PropertyBuilder;
+use crate::tree::{DeviceTree, Node, SiblingIndex};
 
 /// Supplies the contents of `/include/`d files.
 ///
@@ -87,6 +88,7 @@ pub fn parse_with_includes(src: &str, provider: &dyn FileProvider) -> Result<Dev
         provider,
         look: None,
         depth: 0,
+        values: PropertyBuilder::new(),
     }
     .parse_document()
 }
@@ -104,15 +106,17 @@ struct Parser<'a> {
     includes: Vec<Lexer<'a>>,
     provider: &'a dyn FileProvider,
     /// The next token, once the parser has looked at it.
-    look: Option<Token>,
+    look: Option<Token<'a>>,
     /// Current node-body nesting, checked against [`MAX_NODE_DEPTH`].
     depth: usize,
+    /// The property being read; each value goes straight into it.
+    values: PropertyBuilder,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     /// Lexes the next token of the whole input, entering and leaving
     /// included files as their directives and ends are reached.
-    fn lex(&mut self) -> Result<Token, DtsError> {
+    fn lex(&mut self) -> Result<Token<'a>, DtsError> {
         loop {
             let open = self.includes.len();
             let lexer = self.includes.last_mut().unwrap_or(&mut self.main);
@@ -127,10 +131,15 @@ impl Parser<'_> {
                         return Err(Parser::unexpected(&name, "include file name"));
                     };
                     if open >= MAX_INCLUDE_DEPTH {
-                        return Err(DtsError::IncludeDepth { file });
+                        return Err(DtsError::IncludeDepth {
+                            file: file.into_owned(),
+                        });
                     }
                     let Some(contents) = self.provider.read(&file) else {
-                        return Err(DtsError::MissingInclude { at: t.at, file });
+                        return Err(DtsError::MissingInclude {
+                            at: t.at,
+                            file: file.into_owned(),
+                        });
                     };
                     self.includes.push(Lexer::new(contents));
                 }
@@ -139,7 +148,7 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&mut self) -> Result<&Token, DtsError> {
+    fn peek(&mut self) -> Result<&Token<'a>, DtsError> {
         let t = match self.look.take() {
             Some(t) => t,
             None => self.lex()?,
@@ -147,14 +156,14 @@ impl Parser<'_> {
         Ok(self.look.insert(t))
     }
 
-    fn bump(&mut self) -> Result<Token, DtsError> {
+    fn bump(&mut self) -> Result<Token<'a>, DtsError> {
         match self.look.take() {
             Some(t) => Ok(t),
             None => self.lex(),
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, DtsError> {
+    fn expect(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<Token<'a>, DtsError> {
         let t = self.bump()?;
         if &t.kind == kind {
             Ok(t)
@@ -215,9 +224,11 @@ impl Parser<'_> {
                     };
                     let patch = self.parse_node_body(String::new())?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
-                    let path = tree
-                        .resolve_label(&label)
-                        .ok_or(DtsError::UnknownLabel { label })?;
+                    let path =
+                        tree.resolve_label(&label)
+                            .ok_or_else(|| DtsError::UnknownLabel {
+                                label: label.into_owned(),
+                            })?;
                     let target = tree
                         .find_path_mut(&path)
                         .ok_or_else(|| DtsError::NoSuchNode {
@@ -277,12 +288,12 @@ impl Parser<'_> {
                 }
                 TokenKind::Label(first) => {
                     // One or more labels, then a child node.
-                    let mut labels = vec![first];
+                    let mut labels = vec![first.into_owned()];
                     let child_name = loop {
                         let t = self.bump()?;
                         match t.kind {
-                            TokenKind::Label(l) => labels.push(l),
-                            TokenKind::Ident(name) => break name,
+                            TokenKind::Label(l) => labels.push(l.into_owned()),
+                            TokenKind::Ident(name) => break name.into_owned(),
                             _ => return Err(Parser::unexpected(&t, "node name after label")),
                         }
                     };
@@ -293,25 +304,19 @@ impl Parser<'_> {
                 }
                 TokenKind::Ident(ident) => match self.peek()?.kind {
                     TokenKind::LBrace => {
-                        let child = self.parse_node_body(ident)?;
+                        let child = self.parse_node_body(ident.into_owned())?;
                         self.expect(&TokenKind::Semi, "';' after node")?;
                         siblings.add(&mut node.children, child);
                     }
                     TokenKind::Eq => {
                         self.bump()?;
-                        let values = self.parse_values()?;
+                        self.parse_values()?;
                         self.expect(&TokenKind::Semi, "';' after property")?;
-                        node.set_prop(Property {
-                            name: ident,
-                            values,
-                        });
+                        node.set_prop(self.values.finish(&ident));
                     }
                     TokenKind::Semi => {
                         self.bump()?;
-                        node.set_prop(Property {
-                            name: ident,
-                            values: Vec::new(),
-                        });
+                        node.set_prop(self.values.finish(&ident));
                     }
                     _ => {
                         let t = self.bump()?;
@@ -323,48 +328,52 @@ impl Parser<'_> {
         }
     }
 
-    /// values := value (',' value)*
-    fn parse_values(&mut self) -> Result<Vec<PropValue>, DtsError> {
-        let mut out = Vec::new();
+    /// values := value (',' value)*, each into `self.values`.
+    fn parse_values(&mut self) -> Result<(), DtsError> {
         loop {
-            out.push(self.parse_value()?);
+            self.parse_value()?;
             if self.peek()?.kind == TokenKind::Comma {
                 self.bump()?;
             } else {
-                return Ok(out);
+                return Ok(());
             }
         }
     }
 
     /// value := '<' cell* '>' | string | '[' byte* ']' | '&label'
-    fn parse_value(&mut self) -> Result<PropValue, DtsError> {
+    fn parse_value(&mut self) -> Result<(), DtsError> {
         let t = self.bump()?;
         match t.kind {
             TokenKind::Lt => {
-                let mut cells = Vec::new();
+                self.values.begin_cells();
                 loop {
                     let t = self.bump()?;
                     match t.kind {
-                        TokenKind::Gt => return Ok(PropValue::Cells(cells)),
+                        TokenKind::Gt => return Ok(()),
                         TokenKind::Num(n) => {
                             let v = u32::try_from(n).map_err(|_| DtsError::BadNumber {
                                 at: t.at,
                                 text: format!("{n:#x} does not fit in a 32-bit cell"),
                             })?;
-                            cells.push(Cell::U32(v));
+                            self.values.cell(v);
                         }
-                        TokenKind::Ref(l) => cells.push(Cell::Ref(l)),
+                        TokenKind::Ref(l) => {
+                            self.values.phandle(&l);
+                        }
                         _ => return Err(Parser::unexpected(&t, "cell value or '>'")),
                     }
                 }
             }
-            TokenKind::Str(s) => Ok(PropValue::Str(s)),
+            TokenKind::Str(s) => {
+                self.values.string(&s);
+                Ok(())
+            }
             TokenKind::LBracket => {
-                let mut bytes = Vec::new();
+                self.values.begin_bytes();
                 loop {
                     let t = self.bump()?;
                     match t.kind {
-                        TokenKind::RBracket => return Ok(PropValue::Bytes(bytes)),
+                        TokenKind::RBracket => return Ok(()),
                         TokenKind::HexRun(run) => {
                             // Tokens inside [] are raw hex-digit runs;
                             // `1234` denotes the bytes 0x12 0x34, and
@@ -373,18 +382,21 @@ impl Parser<'_> {
                             if run.len() % 2 == 1 {
                                 return Err(DtsError::OddByteString {
                                     at: t.at,
-                                    text: run,
+                                    text: run.into_owned(),
                                 });
                             }
                             for pair in run.as_bytes().chunks(2) {
-                                bytes.push(hex_pair(pair[0], pair[1]));
+                                self.values.byte(hex_pair(pair[0], pair[1]));
                             }
                         }
                         _ => return Err(Parser::unexpected(&t, "hex byte or ']'")),
                     }
                 }
             }
-            TokenKind::Ref(l) => Ok(PropValue::Ref(l)),
+            TokenKind::Ref(l) => {
+                self.values.path(&l);
+                Ok(())
+            }
             _ => Err(Parser::unexpected(&t, "property value")),
         }
     }
@@ -407,6 +419,7 @@ fn hex_pair(hi: u8, lo: u8) -> u8 {
 mod tests {
     use super::*;
     use crate::error::Position;
+    use crate::property::{Cell, Value};
 
     const RUNNING_EXAMPLE: &str = r#"
 /dts-v1/;
@@ -459,22 +472,22 @@ mod tests {
         let t = parse("/ { chosen { interrupt-controller; }; };").unwrap();
         let c = t.find("/chosen").unwrap();
         assert!(c.prop("interrupt-controller").is_some());
-        assert!(c.prop("interrupt-controller").unwrap().values.is_empty());
+        assert_eq!(c.prop("interrupt-controller").unwrap().values().len(), 0);
     }
 
     #[test]
     fn parses_multiple_values() {
         let t = parse(r#"/ { compatible = "a,b", "c,d"; };"#).unwrap();
         let p = t.root.prop("compatible").unwrap();
-        assert_eq!(p.values.len(), 2);
+        assert_eq!(p.values().len(), 2);
     }
 
     #[test]
     fn parses_byte_string() {
         let t = parse("/ { mac = [ de ad be ef 12 34 ]; };").unwrap();
         assert_eq!(
-            t.root.prop("mac").unwrap().values[0],
-            PropValue::Bytes(vec![0xde, 0xad, 0xbe, 0xef, 0x12, 0x34])
+            t.root.prop("mac").unwrap().values().next(),
+            Some(Value::Bytes(&[0xde, 0xad, 0xbe, 0xef, 0x12, 0x34]))
         );
     }
 
@@ -484,13 +497,13 @@ mod tests {
         // re-derive digits via format!, dropping the 0x00 byte.
         let t = parse("/ { mac = [ 0011 ]; };").unwrap();
         assert_eq!(
-            t.root.prop("mac").unwrap().values[0],
-            PropValue::Bytes(vec![0x00, 0x11])
+            t.root.prop("mac").unwrap().values().next(),
+            Some(Value::Bytes(&[0x00, 0x11]))
         );
         let t = parse("/ { mac = [ 00 00 00 01 ]; };").unwrap();
         assert_eq!(
-            t.root.prop("mac").unwrap().values[0],
-            PropValue::Bytes(vec![0x00, 0x00, 0x00, 0x01])
+            t.root.prop("mac").unwrap().values().next(),
+            Some(Value::Bytes(&[0x00, 0x00, 0x00, 0x01]))
         );
     }
 
@@ -547,10 +560,11 @@ mod tests {
 "#;
         let t = parse(src).unwrap();
         let u = t.find("/uart@20000000").unwrap();
-        assert_eq!(
-            u.prop("interrupt-parent").unwrap().values[0],
-            PropValue::Cells(vec![Cell::Ref("intc".into())])
-        );
+        let cells: Vec<Cell<'_>> = match u.prop("interrupt-parent").unwrap().values().next() {
+            Some(Value::Cells(cells)) => cells.collect(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(cells, [Cell::Ref("intc")]);
     }
 
     #[test]
@@ -759,8 +773,13 @@ mod tests {
     fn integer_literals_read_as_dtc_reads_them() {
         let t = parse("/ { reg = <010 0x10UL 16U 0 0X1f 07LL>; };").unwrap();
         assert_eq!(
-            t.root.prop("reg").unwrap().flat_cells().unwrap(),
-            vec![8, 16, 16, 0, 31, 7]
+            t.root
+                .prop("reg")
+                .unwrap()
+                .flat_cells()
+                .unwrap()
+                .collect::<Vec<_>>(),
+            [8, 16, 16, 0, 31, 7]
         );
         let r = parse("/ { reg = <08>; };");
         assert!(matches!(r, Err(DtsError::BadNumber { .. })), "{r:?}");

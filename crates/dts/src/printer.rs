@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::tree::{DeviceTree, Node, PropValue};
+use crate::tree::{DeviceTree, Node};
 
 /// Renders a tree as DTS source text.
 ///
@@ -38,15 +38,10 @@ fn indent(out: &mut String, depth: usize) {
 fn print_body(node: &Node, depth: usize, out: &mut String) {
     for p in &node.properties {
         indent(out, depth);
-        out.push_str(&p.name);
-        if !p.values.is_empty() {
-            out.push_str(" = ");
-            for (i, v) in p.values.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                print_value(v, out);
-            }
+        out.push_str(p.name());
+        for (i, v) in p.values().enumerate() {
+            out.push_str(if i > 0 { ", " } else { " = " });
+            let _ = write!(out, "{v}");
         }
         out.push_str(";\n");
     }
@@ -63,54 +58,11 @@ fn print_body(node: &Node, depth: usize, out: &mut String) {
     }
 }
 
-fn print_value(v: &PropValue, out: &mut String) {
-    match v {
-        PropValue::Cells(cells) => {
-            out.push('<');
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push('>');
-        }
-        PropValue::Str(s) => {
-            out.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    '\0' => out.push_str("\\0"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        PropValue::Bytes(bs) => {
-            out.push('[');
-            for (i, b) in bs.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                let _ = write!(out, "{b:02x}");
-            }
-            out.push(']');
-        }
-        PropValue::Ref(l) => {
-            let _ = write!(out, "&{l}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::tree::{Cell, Property};
+    use crate::property::{Property, PropertyBuilder};
 
     #[test]
     fn print_empty() {
@@ -150,14 +102,13 @@ mod tests {
         let mut t = DeviceTree::new();
         t.ensure("/intc").labels.push("intc".into());
         let u = t.ensure("/uart@0");
-        u.set_prop(Property {
-            name: "interrupt-parent".into(),
-            values: vec![PropValue::Cells(vec![Cell::Ref("intc".into())])],
-        });
-        u.set_prop(Property {
-            name: "mac".into(),
-            values: vec![PropValue::Bytes(vec![0xde, 0xad])],
-        });
+        u.set_prop(
+            PropertyBuilder::new()
+                .begin_cells()
+                .phandle("intc")
+                .finish("interrupt-parent"),
+        );
+        u.set_prop(Property::bytes("mac", &[0xde, 0xad]));
         let text = print(&t);
         assert!(text.contains("<&intc>"));
         assert!(text.contains("[de ad]"));

@@ -5,8 +5,8 @@
 use std::fmt::Write as _;
 
 use llhsc_dts::{
-    fdt, parse, parse_with_includes, print, Cell, DeviceTree, MapFileProvider, Node, PropValue,
-    Property,
+    fdt, parse, parse_with_includes, print, DeviceTree, MapFileProvider, Node, Property,
+    PropertyBuilder,
 };
 use proptest::prelude::*;
 
@@ -19,15 +19,43 @@ fn arb_unit() -> impl Strategy<Value = Option<u32>> {
     prop::option::of(0u32..=0xffff_ffff)
 }
 
+/// One generated property value.
+#[derive(Debug, Clone)]
+enum Value {
+    Cells(Vec<u32>),
+    Str(String),
+    Bytes(Vec<u8>),
+}
+
 fn arb_prop() -> impl Strategy<Value = Property> {
     let value = prop_oneof![
-        prop::collection::vec(any::<u32>(), 0..5)
-            .prop_map(|cs| PropValue::Cells(cs.into_iter().map(Cell::U32).collect())),
-        "[ -~&&[^\"\\\\]]{0,12}".prop_map(PropValue::Str),
-        prop::collection::vec(any::<u8>(), 1..6).prop_map(PropValue::Bytes),
+        prop::collection::vec(any::<u32>(), 0..5).prop_map(Value::Cells),
+        "[ -~&&[^\"\\\\]]{0,12}".prop_map(Value::Str),
+        prop::collection::vec(any::<u8>(), 1..6).prop_map(Value::Bytes),
     ];
-    (arb_name(), prop::collection::vec(value, 0..3))
-        .prop_map(|(name, values)| Property { name, values })
+    (arb_name(), prop::collection::vec(value, 0..3)).prop_map(|(name, values)| {
+        let mut b = PropertyBuilder::new();
+        for v in values {
+            match v {
+                Value::Cells(cells) => {
+                    b.begin_cells();
+                    for c in cells {
+                        b.cell(c);
+                    }
+                }
+                Value::Str(s) => {
+                    b.string(&s);
+                }
+                Value::Bytes(bytes) => {
+                    b.begin_bytes();
+                    for byte in bytes {
+                        b.byte(byte);
+                    }
+                }
+            }
+        }
+        b.finish(&name)
+    })
 }
 
 fn arb_node(depth: u32) -> BoxedStrategy<Node> {
@@ -230,7 +258,7 @@ fn render_document(tops: &[Top]) -> (String, Vec<usize>) {
 }
 
 fn ref_set_prop(node: &mut Node, prop: Property) {
-    match node.properties.iter_mut().find(|p| p.name == prop.name) {
+    match node.properties.iter_mut().find(|p| p.name() == prop.name()) {
         Some(existing) => *existing = prop,
         None => node.properties.push(prop),
     }
@@ -280,7 +308,7 @@ fn ref_body(name: &str, body: &[Stmt]) -> Node {
                 if let Some(i) = node
                     .properties
                     .iter()
-                    .position(|q| q.name == PROP_NAMES[*p])
+                    .position(|q| q.name() == PROP_NAMES[*p])
                 {
                     node.properties.remove(i);
                 }

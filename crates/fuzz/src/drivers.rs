@@ -7,7 +7,7 @@
 //! surface's round-trip law.
 
 use llhsc_dts::cells::{decode_reg, MAX_CELLS};
-use llhsc_dts::{Cell, Node, PropValue, Property};
+use llhsc_dts::{Node, Property};
 use llhsc_sat::{
     check_drat, CheckMode, Cnf, DimacsError, Lit, SolveResult, Solver, SolverConfig, Var,
 };
@@ -68,12 +68,7 @@ pub fn cells(input: &[u8]) -> Result<(), String> {
         .collect();
 
     let mut node = Node::new("dev");
-    node.set_prop(Property {
-        name: "reg".into(),
-        values: vec![PropValue::Cells(
-            cells.iter().map(|&c| Cell::U32(c)).collect(),
-        )],
-    });
+    node.set_prop(Property::cells("reg", cells.iter().copied()));
     let entries = match decode_reg("/", &node, address_cells, size_cells) {
         Ok(entries) => entries,
         Err(_) => return Ok(()),

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use llhsc_dts::cells::{cell_counts, DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS};
-use llhsc_dts::{DeviceTree, Node, PropValue, Property};
+use llhsc_dts::{DeviceTree, Node, Property, Value};
 
 use crate::schema::{PropRule, PropType, Schema, SchemaSet};
 
@@ -137,13 +137,13 @@ fn check_node(
     }
     if !schema.additional_properties {
         for p in &node.properties {
-            if schema.rule(&p.name).is_none() {
+            if schema.rule(p.name()).is_none() {
                 out.push(Violation {
                     path: path.to_string(),
                     schema: schema.id.clone(),
-                    property: Some(p.name.clone()),
+                    property: Some(p.name().to_string()),
                     kind: ViolationKind::UndeclaredProperty,
-                    message: format!("property {:?} is not declared by the schema", p.name),
+                    message: format!("property {:?} is not declared by the schema", p.name()),
                 });
             }
         }
@@ -159,7 +159,7 @@ fn check_node(
 fn item_count(prop: &Property, parent_cells: (u32, u32)) -> Result<usize, String> {
     // For `reg`, an "item" is one (address, size) entry — the paper's
     // example: "there are 2 subarrays of size 4 inside reg".
-    if prop.name == "reg" {
+    if prop.name() == "reg" {
         let Some(flat) = prop.flat_cells() else {
             return Err("reg must be a literal cell array".to_string());
         };
@@ -182,7 +182,7 @@ fn item_count(prop: &Property, parent_cells: (u32, u32)) -> Result<usize, String
     if let Some(flat) = prop.flat_cells() {
         return Ok(flat.len());
     }
-    Ok(prop.values.len())
+    Ok(prop.values().len())
 }
 
 fn check_prop(
@@ -243,14 +243,12 @@ fn check_prop(
             PropType::U32 => prop.as_u32().is_some(),
             PropType::Str => prop.as_str().is_some(),
             PropType::Cells => {
-                prop.values.iter().all(|v| matches!(v, PropValue::Cells(_)))
-                    && !prop.values.is_empty()
+                prop.values().all(|v| matches!(v, Value::Cells(_))) && prop.values().len() > 0
             }
             PropType::Bytes => {
-                prop.values.iter().all(|v| matches!(v, PropValue::Bytes(_)))
-                    && !prop.values.is_empty()
+                prop.values().all(|v| matches!(v, Value::Bytes(_))) && prop.values().len() > 0
             }
-            PropType::Flag => prop.values.is_empty(),
+            PropType::Flag => prop.values().len() == 0,
         };
         if !ok {
             push(
@@ -281,7 +279,7 @@ fn check_prop(
                 }
             }
         }
-    } else if prop.name == "reg" {
+    } else if prop.name() == "reg" {
         // Even without item-count rules, dt-schema validates reg arity.
         if let Err(message) = item_count(prop, parent_cells) {
             push(ViolationKind::BadRegArity, message);

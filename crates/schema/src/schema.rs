@@ -118,12 +118,7 @@ impl Select {
             Select::DeviceType(d) => node.prop_str("device_type") == Some(d),
             Select::Compatible(c) => node
                 .prop("compatible")
-                .map(|p| {
-                    p.values.iter().any(|v| match v {
-                        llhsc_dts::PropValue::Str(s) => s == c,
-                        _ => false,
-                    })
-                })
+                .map(|p| p.values().any(|v| v == llhsc_dts::Value::Str(c)))
                 .unwrap_or(false),
             Select::Always => true,
         }

@@ -274,7 +274,7 @@ fn encode_binding(
     // domain of the ∀x in constraints (5) and (6)).
     let mut universe: BTreeSet<String> = schema.properties.iter().map(|r| r.name.clone()).collect();
     universe.extend(schema.required.iter().cloned());
-    universe.extend(node.properties.iter().map(|p| p.name.clone()));
+    universe.extend(node.properties.iter().map(|p| p.name().to_string()));
 
     // Presence predicate R(x), one Boolean per universe member.
     let r_var = |ctx: &mut Context, p: &str| -> TermId { ctx.bool_var(&format!("R:{path}:{p}")) };
@@ -303,19 +303,19 @@ fn encode_binding(
     for prop in &node.properties {
         let ctx = session.ctx_mut();
         if let Some(s) = prop.as_str() {
-            let val = ctx.str_var(&format!("val:{path}:{}", prop.name));
+            let val = ctx.str_var(&format!("val:{path}:{}", prop.name()));
             let actual = ctx.str_const(s);
             let eq = ctx.eq(val, actual);
             obligations.push(eq);
         }
         if let Some(v) = prop.as_u32() {
-            let val = ctx.bv_var(&format!("cell:{path}:{}", prop.name), 32);
+            let val = ctx.bv_var(&format!("cell:{path}:{}", prop.name()), 32);
             let actual = ctx.bv_const(u128::from(v), 32);
             let eq = ctx.eq(val, actual);
             obligations.push(eq);
         }
         if let Some(n) = item_count(prop, parent_cells) {
-            let cnt = ctx.bv_var(&format!("count:{path}:{}", prop.name), 32);
+            let cnt = ctx.bv_var(&format!("count:{path}:{}", prop.name()), 32);
             let actual = ctx.bv_const(n as u128, 32);
             let eq = ctx.eq(cnt, actual);
             obligations.push(eq);
@@ -463,12 +463,11 @@ fn encode_prop_rule(
                 PropType::Str => prop.as_str().is_some(),
                 PropType::Cells => prop.flat_cells().is_some(),
                 PropType::Bytes => {
-                    prop.values
-                        .iter()
-                        .all(|v| matches!(v, llhsc_dts::PropValue::Bytes(_)))
-                        && !prop.values.is_empty()
+                    prop.values()
+                        .all(|v| matches!(v, llhsc_dts::Value::Bytes(_)))
+                        && prop.values().len() > 0
                 }
-                PropType::Flag => prop.values.is_empty(),
+                PropType::Flag => prop.values().len() == 0,
             };
             let m = marker(
                 session,
@@ -594,7 +593,7 @@ impl SyntacticChecker {
 /// Number of items of a property: entries for `reg`, cells or values
 /// otherwise; `None` when `reg` does not divide evenly.
 fn item_count(prop: &Property, parent_cells: (u32, u32)) -> Option<usize> {
-    if prop.name == "reg" {
+    if prop.name() == "reg" {
         let flat = prop.flat_cells()?;
         let stride = (parent_cells.0 + parent_cells.1) as usize;
         if stride == 0 || flat.len() % stride != 0 {
@@ -605,7 +604,7 @@ fn item_count(prop: &Property, parent_cells: (u32, u32)) -> Option<usize> {
     if let Some(flat) = prop.flat_cells() {
         return Some(flat.len());
     }
-    Some(prop.values.len())
+    Some(prop.values().len())
 }
 
 #[cfg(test)]

@@ -67,7 +67,11 @@ fn d4_defines_two_32bit_banks() {
         .unwrap();
     let mem = p.tree.find("/memory@40000000").unwrap();
     assert_eq!(
-        mem.prop("reg").unwrap().flat_cells().unwrap(),
+        mem.prop("reg")
+            .unwrap()
+            .flat_cells()
+            .unwrap()
+            .collect::<Vec<_>>(),
         vec![0x4000_0000, 0x2000_0000, 0x6000_0000, 0x2000_0000]
     );
 }
@@ -82,7 +86,11 @@ fn d1_adds_veth0_binding() {
     let v = p.tree.find("/vEthernet/veth0@80000000").unwrap();
     assert_eq!(v.prop_str("compatible"), Some("veth"));
     assert_eq!(
-        v.prop("reg").unwrap().flat_cells().unwrap(),
+        v.prop("reg")
+            .unwrap()
+            .flat_cells()
+            .unwrap()
+            .collect::<Vec<_>>(),
         vec![0x8000_0000, 0x1000_0000]
     );
     assert_eq!(v.prop_u32("id"), Some(0));

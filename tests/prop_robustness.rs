@@ -164,13 +164,10 @@ proptest! {
         size_cells in 0u32..8,
         cells in prop::collection::vec(any::<u32>(), 0..24),
     ) {
-        use llhsc_dts::{Cell, Node, PropValue, Property};
+        use llhsc_dts::{Node, Property};
 
         let mut node = Node::new("dev");
-        node.set_prop(Property {
-            name: "reg".into(),
-            values: vec![PropValue::Cells(cells.iter().map(|&c| Cell::U32(c)).collect())],
-        });
+        node.set_prop(Property::cells("reg", cells.iter().copied()));
         let decoded = llhsc_dts::cells::decode_reg(
             "/",
             &node,
@@ -202,9 +199,9 @@ proptest! {
         let node = tree.find("/").expect("root");
         let prop = node.prop("p").expect("property");
         let total: usize = runs.iter().map(|r| r.len() / 2).sum();
-        match &prop.values[..] {
-            [llhsc_dts::PropValue::Bytes(bs)] => prop_assert_eq!(bs.len(), total),
-            other => prop_assert!(false, "unexpected values: {other:?}"),
+        match prop.values().collect::<Vec<_>>()[..] {
+            [llhsc_dts::Value::Bytes(bs)] => prop_assert_eq!(bs.len(), total),
+            ref other => prop_assert!(false, "unexpected values: {other:?}"),
         }
     }
 }
