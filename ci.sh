@@ -548,7 +548,9 @@ SERVE3_PID=""
 # times the devices, where a pass quadratic in the board reads about 16.
 # The 6 000-device board is also written as a main file whose root body
 # `/include/`s a .dtsi holding the devices: checking it must print exactly
-# what the single file prints, under the same 8x bound.
+# what the single file prints, under the same 8x bound. Its blob must
+# round-trip at that scale: `llhsc dts` of it checks as the source does,
+# and `llhsc dtb` of that text writes the blob again, byte for byte.
 python3 - "$LLHSC" "$SMOKE_DIR" <<'EOF'
 import statistics, subprocess, sys, time
 
@@ -604,10 +606,23 @@ assert split_out == single_out, (split_out, single_out)
 for key in (6000, "include"):
     ratio = medians[key] / medians[1500]
     assert ratio < 8, f"{key} check {ratio:.1f}x the 1500-device one: {medians}"
+
+blob, text, again = f"{d}/scale6000.dtb", f"{d}/scale6000-dtb.dts", f"{d}/scale6000-again.dtb"
+subprocess.run([llhsc, "dtb", single, blob], check=True, capture_output=True)
+with open(text, "w") as f:
+    subprocess.run([llhsc, "dts", blob], check=True, stdout=f)
+run = subprocess.run([llhsc, "check", text], capture_output=True, text=True)
+assert (run.returncode, run.stdout, run.stderr) == (0, *single_out), (run, single_out)
+subprocess.run([llhsc, "dtb", text, again], check=True, capture_output=True)
+with open(blob, "rb") as f:
+    first = f.read()
+with open(again, "rb") as f:
+    assert f.read() == first, "the blob changed on a round trip"
 print(f"scaling ok: {medians[1500]:.1f} ms at 1500 devices, "
       f"{medians[6000]:.1f} ms at 6000 ({medians[6000] / medians[1500]:.1f}x), "
       f"{medians['include']:.1f} ms through /include/ "
-      f"({medians['include'] / medians[1500]:.1f}x)")
+      f"({medians['include'] / medians[1500]:.1f}x); "
+      f"its {len(first)}-byte blob round-trips")
 EOF
 
 # Overlap-scaling smoke: each address collision costs one pair-local
